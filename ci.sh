@@ -55,6 +55,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The benchmark is its own workspace (perfbench/), so the library
+# workspace's build does not cover it: a library change that breaks the
+# benchmark's build fails here, not first in a benchmark run.
+echo "==> perfbench self-tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -2,11 +2,11 @@
 //!
 //! Simulates a machine whose true β is 2× the configured Paragon model
 //! (a link running at half its nominal bandwidth), streams residual
-//! reports from simulated collectives into the [`AutoTuner`], and
-//! measures selection quality before and after the refit: for every
-//! tracked call shape, the strategy chosen under the *stale* parameters
-//! and the one chosen under the *refit* parameters are both priced
-//! under the **true** machine. The ratio is the real speedup the closed
+//! reports from simulated collectives into communicators with an
+//! attached [`AutoTuner`], and measures selection quality before and
+//! after the refit: for every tracked call shape, the strategy chosen
+//! under the *stale* parameters and the one chosen under the *refit*
+//! parameters are both priced under the **true** machine. The ratio is the real speedup the closed
 //! loop buys.
 //!
 //! The run is also the CI drift-loop smoke gate (`--smoke` only trims
@@ -23,11 +23,11 @@
 //! Emits `BENCH_autotune.json` in the current directory.
 
 use intercom::comm::GroupComm;
-use intercom::ir::{OptLevel, PlanCache, PlanKey, PlanOp};
-use intercom::selector::{choose_strategy, GroupShape};
-use intercom::{algorithms, AutoTuner, RetuneReport, TrackedShape};
-use intercom_cost::seltab::{load_or_build, Geometry, SelectionTable};
-use intercom_cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams, Strategy, TunedParams};
+use intercom::ir::{self, PlanCache, PlanOp};
+use intercom::selector::GroupShape;
+use intercom::trace::RecordingComm;
+use intercom::{algorithms, AutoTuner, Communicator, RetuneReport, TrackedShape};
+use intercom_cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{analyze, ResidualReport, RunRecord};
 use intercom_topology::Mesh2D;
@@ -91,109 +91,87 @@ fn main() -> ExitCode {
     // β shift genuinely changes the best answer (found by sweeping the
     // selector under both parameter sets).
     let shapes = [
-        (
-            PlanOp::Broadcast { root: 0 },
-            CollectiveOp::Broadcast,
-            8usize,
-            16384usize,
-        ),
-        (
-            PlanOp::AllReduce,
-            CollectiveOp::CombineToAll,
-            12usize,
-            8192usize,
-        ),
+        (PlanOp::Broadcast { root: 0 }, 8usize, 16384usize),
+        (PlanOp::AllReduce, 12usize, 8192usize),
     ];
 
-    let mut tuner = AutoTuner::new(configured);
+    // One communicator per group size, each with its own tuner tracking
+    // its shape. Selection never communicates, so a recording endpoint
+    // stands in for the group.
+    let endpoints: Vec<RecordingComm> = shapes
+        .iter()
+        .map(|&(_, p, _)| RecordingComm::new(0, p))
+        .collect();
     let cache = PlanCache::new();
-    for (plan_op, cost_op, p, n) in shapes {
+    let mut comms = Vec::new();
+    for (&(plan_op, p, n), endpoint) in shapes.iter().zip(&endpoints) {
+        let mut cc = Communicator::world(endpoint, configured);
+        let mut tuner = AutoTuner::new(configured);
         tuner.track(TrackedShape {
             plan_op,
-            cost_op,
             shape: GroupShape::Linear(p),
             n_elems: n,
             elem_size: 1,
-            n_cost_bytes: n,
         });
+        cc.attach_tuner(tuner);
         // Warm the cache with the stale choice, exactly as a production
         // process that planned before the link degraded would have.
-        let stale = choose_strategy(cost_op, GroupShape::Linear(p), n, &configured);
         cache
-            .warm_up([PlanKey {
-                op: plan_op,
-                p,
-                n,
-                elem_size: 1,
-                strategy: Some(stale),
-                hier: None,
-                opt: OptLevel::Full,
-            }])
+            .warm_up([cc.auto_plan_key(plan_op, n, 1)])
             .expect("warm-up compiles");
+        comms.push(cc);
     }
     let warmed_before = cache.stats().entries;
 
-    // Stream residual reports from the degraded machine until the
-    // monitor's confidence gate opens and the verdict fires.
+    // Stream residual reports from the degraded machine until every
+    // monitor's confidence gate opens and its verdict fires.
     let fit_strategy = Strategy::pure_long(8);
-    let mut retune: Option<RetuneReport> = None;
+    let mut retunes: Vec<Option<RetuneReport>> = comms.iter().map(|_| None).collect();
     let mut fed = 0usize;
     for _ in 0..reports {
         let report = residual_on_true_machine(&fit_strategy, 8, 16384, true_machine, &configured);
         fed += 1;
-        if let Some(r) = tuner.observe_with_cache(&report, &cache) {
-            retune = Some(r);
+        for (cc, retune) in comms.iter_mut().zip(&mut retunes) {
+            if retune.is_none() {
+                *retune = cc.observe_with_cache(&report, &cache);
+            }
+        }
+        if retunes.iter().all(Option::is_some) {
             break;
         }
     }
 
-    let Some(retune) = retune else {
+    let Some(retunes) = retunes.into_iter().collect::<Option<Vec<_>>>() else {
         eprintln!("autotune gate FAILED: no drift verdict after {fed} residual reports");
         return ExitCode::FAILURE;
     };
+    let retune = &retunes[0];
+    let invalidated: usize = retunes.iter().map(|r| r.invalidated).sum();
+    let warmed: usize = retunes.iter().map(|r| r.warmed).sum();
 
     let refit_beta = retune.new_params.beta;
     let beta_rel_err = (refit_beta - true_machine.beta).abs() / true_machine.beta;
-
-    // Persisted selection table for the calibrated host: write the
-    // as-configured (v1) table, then demand the refit's version bump
-    // invalidates it and the rebuilt table re-prices at least one range.
-    std::fs::create_dir_all("target").expect("target dir");
-    let seltab_path = std::path::Path::new("target/seltab-host.txt");
-    let stale_tab =
-        SelectionTable::build("host", &TunedParams::new(configured), Geometry::Linear(8));
-    stale_tab.save(seltab_path).expect("write seltab");
-    let refit_tuned = TunedParams {
-        current: retune.new_params,
-        version: retune.version,
-    };
-    let (refit_tab, seltab_rebuilt) =
-        load_or_build(seltab_path, "host", &refit_tuned, Geometry::Linear(8))
-            .expect("reload seltab");
-    let seltab_repriced = refit_tab.tables != stale_tab.tables;
-    println!(
-        "seltab: v{} -> v{} at {}, rebuilt={seltab_rebuilt}, repriced={seltab_repriced}",
-        stale_tab.version,
-        refit_tab.version,
-        seltab_path.display(),
-    );
 
     // Score every re-selection under the TRUE machine: this is the
     // speedup the loop actually delivers, not the model's self-grade.
     let mut lines = Vec::new();
     let mut any_strictly_better = false;
     let mut all_no_worse = true;
-    for r in &retune.reselections {
-        let ctx = match r.shape.shape {
-            GroupShape::Linear(_) | GroupShape::Cluster { .. } => {
-                CostContext::linear_with(&true_machine)
-            }
-            GroupShape::Mesh { .. } => CostContext::mesh_with(&true_machine),
+    let reselections: Vec<_> = retunes.iter().flat_map(|r| &r.reselections).collect();
+    for r in &reselections {
+        // The tracked shapes are flat linear groups of byte elements
+        // whose size parameter is the whole vector.
+        let cost_op = ir::cost_op(r.shape.plan_op).expect("tracked ops have a cost model");
+        let n = r.shape.n_elems;
+        let ctx = CostContext::linear_with(&true_machine);
+        let flat = |k: &ir::PlanKey| {
+            k.strategy
+                .clone()
+                .expect("flat selection on a linear group")
         };
-        let price = |s: &Strategy| {
-            hybrid_cost(r.shape.cost_op, s, ctx).eval(r.shape.n_cost_bytes, &true_machine)
-        };
-        let (old_true, new_true) = (price(&r.old), price(&r.new));
+        let (old, new) = (flat(&r.old), flat(&r.new));
+        let price = |s: &Strategy| hybrid_cost(cost_op, s, ctx).eval(n, &true_machine);
+        let (old_true, new_true) = (price(&old), price(&new));
         if new_true < old_true {
             any_strictly_better = true;
         }
@@ -201,25 +179,17 @@ fn main() -> ExitCode {
             all_no_worse = false;
         }
         println!(
-            "reselect {:?} p={} n={}: {} -> {}  true-machine {:.3e}s -> {:.3e}s ({:.2}x), {} plans invalidated",
-            r.shape.cost_op,
+            "reselect {cost_op:?} p={} n={n}: {old} -> {new}  true-machine {:.3e}s -> {:.3e}s ({:.2}x), {} plans invalidated",
             r.shape.shape.nodes(),
-            r.shape.n_cost_bytes,
-            r.old,
-            r.new,
             old_true,
             new_true,
             old_true / new_true,
             r.invalidated,
         );
         lines.push(format!(
-            "    {{\"op\":\"{:?}\",\"p\":{},\"n\":{},\"old\":\"{}\",\"new\":\"{}\",\
+            "    {{\"op\":\"{cost_op:?}\",\"p\":{},\"n\":{n},\"old\":\"{old}\",\"new\":\"{new}\",\
              \"old_true_secs\":{},\"new_true_secs\":{},\"invalidated\":{}}}",
-            r.shape.cost_op,
             r.shape.shape.nodes(),
-            r.shape.n_cost_bytes,
-            r.old,
-            r.new,
             json_num(old_true),
             json_num(new_true),
             r.invalidated,
@@ -227,24 +197,20 @@ fn main() -> ExitCode {
     }
 
     let pass = beta_rel_err <= REFIT_TOLERANCE
-        && !retune.reselections.is_empty()
-        && retune.invalidated > 0
-        && retune.warmed > 0
+        && !reselections.is_empty()
+        && invalidated > 0
+        && warmed > 0
         && any_strictly_better
-        && all_no_worse
-        && seltab_rebuilt
-        && seltab_repriced;
+        && all_no_worse;
 
     println!(
         "drift verdict after {fed} reports: β {:.3e} -> {:.3e} (true {:.3e}, err {:.1}%), \
-         params v{}, {} invalidated, {} re-warmed",
+         params v{}, {invalidated} invalidated, {warmed} re-warmed",
         configured.beta,
         refit_beta,
         true_machine.beta,
         beta_rel_err * 100.0,
         retune.version,
-        retune.invalidated,
-        retune.warmed,
     );
 
     let json = format!(
@@ -252,18 +218,14 @@ fn main() -> ExitCode {
          \"configured_beta\": {},\n  \"true_beta\": {},\n  \"refit_beta\": {},\n  \
          \"refit_beta_rel_err\": {},\n  \"refit_tolerance\": {REFIT_TOLERANCE},\n  \
          \"params_version\": {},\n  \"warmed_before\": {warmed_before},\n  \
-         \"invalidated\": {},\n  \"rewarmed\": {},\n  \
-         \"seltab_rebuilt\": {seltab_rebuilt},\n  \"seltab_repriced\": {seltab_repriced},\n  \
-         \"seltab_version\": {},\n  \"reselections\": [\n{}\n  ],\n  \
+         \"invalidated\": {invalidated},\n  \"rewarmed\": {warmed},\n  \
+         \"reselections\": [\n{}\n  ],\n  \
          \"pass\": {pass}\n}}\n",
         json_num(configured.beta),
         json_num(true_machine.beta),
         json_num(refit_beta),
         json_num(beta_rel_err),
         retune.version,
-        retune.invalidated,
-        retune.warmed,
-        refit_tab.version,
         lines.join(",\n"),
     );
     std::fs::write("BENCH_autotune.json", &json).expect("write BENCH_autotune.json");
@@ -272,11 +234,10 @@ fn main() -> ExitCode {
     if !pass {
         eprintln!(
             "autotune gate FAILED: β err {:.1}% (limit {:.0}%), {} reselections, \
-             {} invalidated, strictly-better={any_strictly_better}, no-worse={all_no_worse}",
+             {invalidated} invalidated, strictly-better={any_strictly_better}, no-worse={all_no_worse}",
             beta_rel_err * 100.0,
             REFIT_TOLERANCE * 100.0,
-            retune.reselections.len(),
-            retune.invalidated,
+            reselections.len(),
         );
         return ExitCode::FAILURE;
     }

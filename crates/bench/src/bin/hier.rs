@@ -18,18 +18,15 @@
 //! ring (most hops of a world-rank ring stay inside a node), the
 //! level-blind strategies keep up there — an honest limit of the
 //! two-level model, visible only because this is an executed A/B and
-//! not the model grading itself. The run also persists the per-machine
-//! cluster selection tables (`target/seltab-*-cluster.txt`) and
-//! demands a same-version reload serve from disk.
+//! not the model grading itself.
 //!
 //! Run: `cargo run --release -p intercom-bench --bin hier`
 //! Emits `BENCH_hier.json` in the current directory.
 
 use intercom::comm::GroupComm;
 use intercom::{algorithms, hier_allreduce, hier_broadcast, hier_collect, ReduceOp};
-use intercom_cost::seltab::load_or_build_cluster;
 use intercom_cost::{
-    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierMachine, TunedHier,
+    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierMachine,
 };
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_topology::{Cluster, Mesh2D};
@@ -184,42 +181,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // Persist the per-machine cluster selection tables and prove a
-    // same-version reload is served from disk, not rebuilt.
-    std::fs::create_dir_all("target").expect("target dir");
-    let mut seltab_ok = true;
-    let mut seltab_lines = Vec::new();
-    for (label, machine, _) in &machines {
-        let tuned = TunedHier::new(machine.clone());
-        let shape = ClusterShape::linear(4, 4);
-        let path_buf = std::path::PathBuf::from(format!("target/seltab-{label}-cluster.txt"));
-        let (first, _) =
-            load_or_build_cluster(&path_buf, label, &tuned, shape).expect("write seltab");
-        let (again, rebuilt) =
-            load_or_build_cluster(&path_buf, label, &tuned, shape).expect("reload seltab");
-        let served_from_disk = !rebuilt && again == first;
-        if !served_from_disk {
-            eprintln!("hier gate FAILED: {label} seltab reload was not served from disk");
-            seltab_ok = false;
-        }
-        println!(
-            "seltab {label} v{} at {}: reload served_from_disk={served_from_disk}",
-            first.version,
-            path_buf.display(),
-        );
-        seltab_lines.push(format!(
-            "    {{\"machine\":\"{label}\",\"version\":{},\"served_from_disk\":{served_from_disk}}}",
-            first.version
-        ));
-    }
-    pass = pass && seltab_ok;
-
     let json = format!(
         "{{\n  \"smoke\": {smoke},\n  \"n_gate\": {N_GATE},\n  \"cases\": [\n{}\n  ],\n  \
-         \"gates\": [\n{}\n  ],\n  \"seltab\": [\n{}\n  ],\n  \"pass\": {pass}\n}}\n",
+         \"gates\": [\n{}\n  ],\n  \"pass\": {pass}\n}}\n",
         lines.join(",\n"),
         gate_lines.join(",\n"),
-        seltab_lines.join(",\n"),
     );
     std::fs::write("BENCH_hier.json", &json).expect("write BENCH_hier.json");
     println!("wrote BENCH_hier.json");

@@ -10,58 +10,54 @@
 //!
 //! 1. install the refit via [`TunedParams::refit`] (bumping the params
 //!    version, exported as the `intercom_machine_params_version` gauge);
-//! 2. for every call shape the tuner has seen, re-run the selector
-//!    under the new parameters;
-//! 3. where the choice changed, [`PlanCache::invalidate_matching`] the
-//!    stale entries and [`PlanCache::warm_up`] the new winner, so the
-//!    next collective call compiles nothing and prices correctly;
-//! 4. report everything in a [`RetuneReport`] with both strategies
-//!    priced under the *new* parameters, making the win auditable.
+//! 2. for every call shape the tuner has seen, ask the communicator's
+//!    [`auto_choice`](crate::Communicator::auto_choice) — the library's
+//!    only selection path — under the stale and the refit parameters
+//!    (on a cluster, the refit network level of its
+//!    [`TunedHier`](intercom_cost::TunedHier));
+//! 3. where the plan key changed, [`PlanCache::invalidate_matching`]
+//!    the stale entries and [`PlanCache::warm_up`] the new key — the
+//!    one the next persistent-plan construction builds — so it compiles
+//!    nothing;
+//! 4. report both keys per re-selected shape in a [`RetuneReport`].
 //!
 //! This is ROADMAP's "closed-loop autotuning from observed residuals"
 //! ("Fast Tuning of Intra-Cluster Collective Communications" rebuilt on
 //! verified schedules), end to end.
 
-use crate::ir::{global_cache, OptLevel, PlanCache, PlanKey, PlanOp};
-use crate::selector::{choose_strategy, GroupShape};
-use intercom_cost::{hybrid_cost, CollectiveOp, CostContext, MachineParams, Strategy, TunedParams};
+use crate::comm::Comm;
+use crate::communicator::Communicator;
+use crate::ir::{PlanCache, PlanKey, PlanOp};
+use crate::selector::GroupShape;
+use intercom_cost::{MachineParams, TunedParams};
 use intercom_obs::drift::{DriftConfig, DriftMonitor, DriftVerdict};
 use intercom_obs::residual::ResidualReport;
 
-/// One call shape the tuner re-selects for after a refit: the plan-side
-/// identity (what the cache is keyed on) plus the cost-side identity
-/// (what the selector prices).
+/// One call shape the tuner re-selects for after a refit: what the
+/// plan cache is keyed on. The selector prices the bytes the call
+/// moves, derived from the op (see [`crate::ir::cost_op`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackedShape {
     /// The compiled op (with root/segment parameters) as cached.
     pub plan_op: PlanOp,
-    /// The selector-facing collective.
-    pub cost_op: CollectiveOp,
     /// The group shape selection runs over.
     pub shape: GroupShape,
     /// Size parameter in elements (the plan key's `n`).
     pub n_elems: usize,
     /// Element width in bytes.
     pub elem_size: usize,
-    /// The byte length the selector prices (the communicator passes
-    /// `len · elem_size` for vector-length ops).
-    pub n_cost_bytes: usize,
 }
 
-/// One re-selection performed by a retune: the shape, the stale and
-/// fresh strategies, and both priced under the *new* parameters.
+/// One re-selection performed by a retune: the shape and the plan keys
+/// selected under the stale and the refit parameters.
 #[derive(Debug, Clone)]
 pub struct Reselect {
     /// The call shape that flipped.
     pub shape: TrackedShape,
-    /// The strategy selected under the stale parameters.
-    pub old: Strategy,
-    /// The strategy selected under the refit parameters.
-    pub new: Strategy,
-    /// `old`'s predicted seconds under the refit parameters.
-    pub old_cost: f64,
-    /// `new`'s predicted seconds under the refit parameters.
-    pub new_cost: f64,
+    /// The key selected under the stale parameters.
+    pub old: PlanKey,
+    /// The key selected under the refit parameters, now warmed.
+    pub new: PlanKey,
     /// Cache entries invalidated for this shape.
     pub invalidated: usize,
 }
@@ -77,8 +73,8 @@ pub struct RetuneReport {
     pub new_params: MachineParams,
     /// The bumped params version.
     pub version: u64,
-    /// Shapes whose best strategy changed (stale entries invalidated,
-    /// new winner warmed).
+    /// Shapes whose selected plan changed (stale entries invalidated,
+    /// new key warmed).
     pub reselections: Vec<Reselect>,
     /// Total cache entries invalidated.
     pub invalidated: usize,
@@ -87,7 +83,9 @@ pub struct RetuneReport {
 }
 
 /// The closed-loop tuner: wraps a [`DriftMonitor`] and a versioned
-/// parameter set, and acts on verdicts against the plan cache.
+/// parameter set, and acts on verdicts against the plan cache. It runs
+/// attached to a communicator ([`Communicator::attach_tuner`]), whose
+/// [`Communicator::observe`] feeds it.
 #[derive(Debug)]
 pub struct AutoTuner {
     monitor: DriftMonitor,
@@ -139,18 +137,13 @@ impl AutoTuner {
         &self.shapes
     }
 
-    /// Feeds one residual report; on a drift verdict, retunes against
-    /// the process-wide [`global_cache`].
-    pub fn observe(&mut self, report: &ResidualReport) -> Option<RetuneReport> {
-        self.observe_with_cache(report, global_cache())
-    }
-
     /// Feeds one residual report; on a drift verdict, refits the
-    /// parameters, re-selects every tracked shape and
-    /// invalidates/re-warms `cache`. Publishes the params version and
-    /// retune counters to the metrics registry.
-    pub fn observe_with_cache(
+    /// parameters, has `cc` adopt them, re-selects every tracked shape
+    /// through `cc` and invalidates/re-warms `cache`. Publishes the
+    /// params version and retune counters to the metrics registry.
+    pub(crate) fn observe<C: Comm + ?Sized>(
         &mut self,
+        cc: &mut Communicator<'_, C>,
         report: &ResidualReport,
         cache: &PlanCache,
     ) -> Option<RetuneReport> {
@@ -160,12 +153,17 @@ impl AutoTuner {
         let new_params = self.tuned.current;
         self.monitor.rebase(new_params);
 
+        let key = |cc: &Communicator<'_, C>, s: &TrackedShape| {
+            cc.auto_plan_key(s.plan_op, s.n_elems, s.elem_size)
+        };
+        let stale: Vec<PlanKey> = self.shapes.iter().map(|s| key(cc, s)).collect();
+        cc.adopt(new_params);
+
         let mut reselections = Vec::new();
         let mut invalidated = 0usize;
         let mut warmed = 0usize;
-        for shape in &self.shapes {
-            let old = choose_strategy(shape.cost_op, shape.shape, shape.n_cost_bytes, &old_params);
-            let new = choose_strategy(shape.cost_op, shape.shape, shape.n_cost_bytes, &new_params);
+        for (shape, old) in self.shapes.iter().zip(stale) {
+            let new = key(cc, shape);
             if old == new {
                 continue;
             }
@@ -173,33 +171,12 @@ impl AutoTuner {
             // any opt level): each was compiled for a choice priced
             // under the stale parameters.
             let dropped = cache.invalidate_matching(|k| {
-                k.op == shape.plan_op && k.n == shape.n_elems && k.elem_size == shape.elem_size
+                k.op == new.op && k.p == new.p && k.n == new.n && k.elem_size == new.elem_size
             });
             invalidated += dropped;
-            warmed += cache
-                .warm_up([PlanKey {
-                    op: shape.plan_op,
-                    p: shape.shape.nodes(),
-                    n: shape.n_elems,
-                    elem_size: shape.elem_size,
-                    strategy: Some(new.clone()),
-                    hier: None,
-                    opt: OptLevel::Full,
-                }])
-                .unwrap_or(0);
-            let ctx = match shape.shape {
-                GroupShape::Linear(_) | GroupShape::Cluster { .. } => {
-                    CostContext::linear_with(&new_params)
-                }
-                GroupShape::Mesh { .. } => CostContext::mesh_with(&new_params),
-            };
-            let price = |s: &Strategy| {
-                hybrid_cost(shape.cost_op, s, ctx).eval(shape.n_cost_bytes, &new_params)
-            };
+            warmed += cache.warm_up([new.clone()]).unwrap_or(0);
             reselections.push(Reselect {
                 shape: shape.clone(),
-                old_cost: price(&old),
-                new_cost: price(&new),
                 old,
                 new,
                 invalidated: dropped,
@@ -278,11 +255,9 @@ mod tests {
         let mut tuner = AutoTuner::new(MachineParams::PARAGON_MODEL);
         let shape = TrackedShape {
             plan_op: PlanOp::Broadcast { root: 0 },
-            cost_op: CollectiveOp::Broadcast,
             shape: GroupShape::Linear(8),
             n_elems: 1024,
             elem_size: 8,
-            n_cost_bytes: 8192,
         };
         tuner.track(shape.clone());
         tuner.track(shape);

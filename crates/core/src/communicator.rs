@@ -12,7 +12,7 @@ use crate::cast::Scalar;
 use crate::comm::{Comm, GroupComm, Tag};
 use crate::error::Result;
 use crate::hier;
-use crate::ir::PlanOp;
+use crate::ir::{self, OptLevel, PlanCache, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
 use crate::selector::{choose_strategy, GroupShape};
 use intercom_cost::{
@@ -226,21 +226,43 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.hier.as_ref()
     }
 
-    /// The *flat* strategy [`Algo::Auto`] would pick for `op` at
-    /// `n_bytes` (on a cluster: the best level-blind strategy, priced
-    /// at the network level).
-    pub fn auto_strategy(&self, op: CollectiveOp, n_bytes: usize) -> Strategy {
-        choose_strategy(op, self.shape, n_bytes, &self.machine)
-    }
-
     /// What [`Algo::Auto`] would run for `op` at `n_bytes`: on a
     /// cluster communicator, the cheaper of the best hierarchical
     /// hybrid and the best flat strategy under the two-level model;
-    /// elsewhere, the flat selection.
+    /// elsewhere, the flat selection. This is the library's only
+    /// selection path: one-shot calls, persistent plans and the drift
+    /// tuner all run what it picks.
     pub fn auto_choice(&self, op: CollectiveOp, n_bytes: usize) -> HierChoice {
         match (self.shape.cluster_shape(), &self.hier) {
             (Some(cs), Some(th)) => choose_hier(op, cs, n_bytes, &th.current),
-            _ => HierChoice::Flat(self.auto_strategy(op, n_bytes)),
+            _ => HierChoice::Flat(choose_strategy(op, self.shape, n_bytes, &self.machine)),
+        }
+    }
+
+    /// The plan-cache key of the program [`Algo::Auto`] runs for `op`
+    /// over `n` elements (unit per [`PlanOp::args`]) of `elem_size`
+    /// bytes: what a persistent plan compiles and what the drift tuner
+    /// warms. Selection prices the bytes the one-shot call moves
+    /// ([`PlanOp::vector_len`]).
+    pub fn auto_plan_key(&self, op: PlanOp, n: usize, elem_size: usize) -> PlanKey {
+        let p = self.size();
+        let cost_op = ir::cost_op(op).expect("selection-driven collectives have a cost model");
+        let (strategy, hier) = match self.auto_choice(cost_op, op.vector_len(p, n) * elem_size) {
+            HierChoice::Flat(s) => (Some(s), None),
+            HierChoice::Hier(h) => (None, Some(h)),
+        };
+        // Persistent plans compile at full optimization: the pass
+        // pipeline's rewrites are re-proven by the schedule audit and
+        // pinned byte-identical by the differential suites, so the
+        // optimized program is the deployed artifact.
+        PlanKey {
+            op,
+            p,
+            n,
+            elem_size,
+            strategy,
+            hier,
+            opt: OptLevel::Full,
         }
     }
 
@@ -262,46 +284,55 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.tuner.borrow()
     }
 
-    /// Feeds one residual report to the attached tuner. On a drift
-    /// verdict the tuner refits, re-selects every tracked shape against
-    /// the process-wide plan cache, and this communicator adopts the new
-    /// parameters for subsequent selections — on a cluster, as a refit
-    /// of the *network* level (the drift monitor watches end-to-end
-    /// residuals, which the expensive level dominates), bumping the
-    /// [`TunedHier`] version.
+    /// Feeds one residual report to the attached tuner, retuning
+    /// against the process-wide plan cache (see
+    /// [`Communicator::observe_with_cache`]).
     pub fn observe(&mut self, report: &ResidualReport) -> Option<RetuneReport> {
-        let rep = self.tuner.get_mut().as_mut()?.observe(report)?;
-        self.machine = rep.new_params;
+        self.observe_with_cache(report, ir::global_cache())
+    }
+
+    /// Feeds one residual report to the attached tuner. On a drift
+    /// verdict this communicator adopts the refit parameters for
+    /// subsequent selections — on a cluster, as a refit of the
+    /// *network* level (the drift monitor watches end-to-end residuals,
+    /// which the expensive level dominates), bumping the [`TunedHier`]
+    /// version — and the tuner re-selects every tracked shape through
+    /// [`Communicator::auto_choice`], retiring stale programs from
+    /// `cache` and warming the keys the next plan construction builds.
+    pub fn observe_with_cache(
+        &mut self,
+        report: &ResidualReport,
+        cache: &PlanCache,
+    ) -> Option<RetuneReport> {
+        let mut tuner = self.tuner.get_mut().take()?;
+        let rep = tuner.observe(self, report, cache);
+        *self.tuner.get_mut() = Some(tuner);
+        rep
+    }
+
+    /// Prices subsequent selections under refit network-level
+    /// parameters.
+    pub(crate) fn adopt(&mut self, params: MachineParams) {
+        self.machine = params;
         if let Some(th) = &mut self.hier {
             let level = th.current.levels() - 1;
-            th.refit_level(level, rep.new_params.alpha, rep.new_params.beta);
+            th.refit_level(level, params.alpha, params.beta);
         }
-        Some(rep)
     }
 
     /// Registers a call shape with the attached tuner (no-op without
     /// one). Only [`Algo::Auto`] calls feed the tuner: those are the
     /// calls whose strategy a refit can change.
-    fn note_shape(
-        &self,
-        algo: &Algo,
-        plan_op: PlanOp,
-        cost_op: CollectiveOp,
-        n_elems: usize,
-        elem_size: usize,
-        n_cost_bytes: usize,
-    ) {
+    fn note_shape(&self, algo: &Algo, plan_op: PlanOp, n_elems: usize, elem_size: usize) {
         if !matches!(algo, Algo::Auto) {
             return;
         }
         if let Some(t) = self.tuner.borrow_mut().as_mut() {
             t.track(TrackedShape {
                 plan_op,
-                cost_op,
                 shape: self.shape,
                 n_elems,
                 elem_size,
-                n_cost_bytes,
             });
         }
     }
@@ -355,10 +386,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.note_shape(
             algo,
             PlanOp::Broadcast { root },
-            CollectiveOp::Broadcast,
             buf.len(),
             std::mem::size_of::<T>(),
-            bytes,
         );
         match self.decide(CollectiveOp::Broadcast, bytes, algo) {
             Decision::Flat(s) => algorithms::broadcast(&self.gc, &s, root, buf, self.fresh_tag()),
@@ -383,10 +412,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.note_shape(
             algo,
             PlanOp::Reduce { root },
-            CollectiveOp::CombineToOne,
             buf.len(),
             std::mem::size_of::<T>(),
-            bytes,
         );
         match self.decide(CollectiveOp::CombineToOne, bytes, algo) {
             Decision::Flat(s) => algorithms::reduce(&self.gc, &s, root, buf, op, self.fresh_tag()),
@@ -414,14 +441,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// Combine-to-all with an explicit algorithm choice.
     pub fn allreduce_with<T: Elem>(&self, buf: &mut [T], op: ReduceOp, algo: &Algo) -> Result<()> {
         let bytes = std::mem::size_of_val(&buf[..]);
-        self.note_shape(
-            algo,
-            PlanOp::AllReduce,
-            CollectiveOp::CombineToAll,
-            buf.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
+        self.note_shape(algo, PlanOp::AllReduce, buf.len(), std::mem::size_of::<T>());
         match self.decide(CollectiveOp::CombineToAll, bytes, algo) {
             Decision::Flat(s) => algorithms::allreduce(&self.gc, &s, buf, op, self.fresh_tag()),
             Decision::Hier(h) => hier::hier_allreduce(&self.gc, &h, buf, op, self.fresh_tag()),
@@ -450,14 +470,7 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
     /// Collect with an explicit algorithm choice.
     pub fn allgather_with<T: Scalar>(&self, mine: &[T], all: &mut [T], algo: &Algo) -> Result<()> {
         let bytes = std::mem::size_of_val(&all[..]);
-        self.note_shape(
-            algo,
-            PlanOp::Collect,
-            CollectiveOp::Collect,
-            mine.len(),
-            std::mem::size_of::<T>(),
-            bytes,
-        );
+        self.note_shape(algo, PlanOp::Collect, mine.len(), std::mem::size_of::<T>());
         match self.decide(CollectiveOp::Collect, bytes, algo) {
             Decision::Flat(s) => algorithms::collect(&self.gc, &s, mine, all, self.fresh_tag()),
             Decision::Hier(h) => hier::hier_collect(&self.gc, &h, mine, all, self.fresh_tag()),
@@ -487,10 +500,8 @@ impl<'a, C: Comm + ?Sized> Communicator<'a, C> {
         self.note_shape(
             algo,
             PlanOp::ReduceScatter,
-            CollectiveOp::DistributedCombine,
             mine.len(),
             std::mem::size_of::<T>(),
-            bytes,
         );
         match self.decide(CollectiveOp::DistributedCombine, bytes, algo) {
             Decision::Flat(s) => {
@@ -637,15 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_depends_on_length() {
-        let c = SelfComm;
-        let cc = Communicator::world(&c, MachineParams::PARAGON);
-        // Degenerate world; just verify the call path works.
-        let s = cc.auto_strategy(CollectiveOp::Broadcast, 1024);
-        assert_eq!(s.nodes(), 1);
-    }
-
-    #[test]
     fn cluster_world_requires_matching_size() {
         let c = SelfComm;
         assert!(Communicator::world_on_cluster(
@@ -681,8 +683,8 @@ mod tests {
         cc.allreduce(&mut v, ReduceOp::Sum).unwrap(); // Auto: tracked
         cc.allreduce(&mut v, ReduceOp::Sum).unwrap(); // duplicate: deduped
         let tuner = cc.detach_tuner().unwrap();
-        let ops: Vec<CollectiveOp> = tuner.tracked().iter().map(|s| s.cost_op).collect();
-        assert_eq!(ops, [CollectiveOp::Broadcast, CollectiveOp::CombineToAll]);
+        let ops: Vec<PlanOp> = tuner.tracked().iter().map(|s| s.plan_op).collect();
+        assert_eq!(ops, [PlanOp::Broadcast { root: 0 }, PlanOp::AllReduce]);
     }
 
     #[test]

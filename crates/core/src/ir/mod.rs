@@ -52,6 +52,7 @@ pub use opt::{optimize, OptLevel, OptStats};
 
 use crate::comm::Tag;
 use intercom_cost::{HierStrategy, Strategy};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which collective a program implements, together with the call
@@ -98,6 +99,21 @@ pub enum PlanOp {
     },
 }
 
+impl fmt::Display for PlanOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanOp::Broadcast { root } => write!(f, "broadcast(root={root})"),
+            PlanOp::Reduce { root } => write!(f, "reduce(root={root})"),
+            PlanOp::Scatter { root } => write!(f, "scatter(root={root})"),
+            PlanOp::Gather { root } => write!(f, "gather(root={root})"),
+            PlanOp::PipelinedBcast { root, segments } => {
+                write!(f, "pipelined_bcast(root={root}, m={segments})")
+            }
+            _ => f.write_str(self.name()),
+        }
+    }
+}
+
 /// How a program touches one argument buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArgDir {
@@ -138,6 +154,8 @@ impl PlanOp {
     }
 
     /// Whether this collective lowers under a hybrid [`Strategy`].
+    /// Scatter, gather, total exchange and the pipelined broadcast are
+    /// single-algorithm collectives (§4.2, §8) and take none.
     pub fn takes_strategy(&self) -> bool {
         matches!(
             self,
@@ -159,11 +177,29 @@ impl PlanOp {
         )
     }
 
+    /// The collective's total vector length for size parameter `n` over
+    /// `p` ranks (see [`PlanOp::args`]): `n` itself for broadcast,
+    /// combine-to-one, combine-to-all and the pipelined broadcast, and
+    /// `p·n` for the block-wise rest. The cost model prices a call by
+    /// this length.
+    pub fn vector_len(&self, p: usize, n: usize) -> usize {
+        match self {
+            PlanOp::Broadcast { .. }
+            | PlanOp::Reduce { .. }
+            | PlanOp::AllReduce
+            | PlanOp::PipelinedBcast { .. } => n,
+            PlanOp::ReduceScatter
+            | PlanOp::Collect
+            | PlanOp::Scatter { .. }
+            | PlanOp::Gather { .. }
+            | PlanOp::Alltoall => p * n,
+        }
+    }
+
     /// The argument buffer slots of a program over `p` ranks with size
     /// parameter `n`, in binding order. `n` is the *total vector length*
     /// for broadcast, combine-to-one, combine-to-all and the pipelined
-    /// broadcast, and the *per-member block length* for the rest —
-    /// matching `intercom-verify`'s `VerifyOp` convention.
+    /// broadcast, and the *per-member block length* for the rest.
     pub fn args(&self, p: usize, n: usize) -> Vec<ArgSpec> {
         let spec = |name, elems, only_rank, dir| ArgSpec {
             name,

@@ -513,7 +513,10 @@ fn contiguous(a: &Loc, b: &Loc) -> bool {
 
 /// Pass 4b: merge adjacent local copies whose sources and destinations
 /// are both contiguous (the multi-dimensional collect's block-by-block
-/// un-permutation emits runs of these).
+/// un-permutation emits runs of these). A merge whose source and
+/// destination would overlap is refused: there the second copy reads
+/// what the first wrote (a chained shift), so the two do not commute
+/// into one copy.
 fn coalesce_copies(prog: &mut CollectiveProgram) -> usize {
     let mut merged = 0;
     for rp in &mut prog.ranks {
@@ -531,9 +534,16 @@ fn coalesce_copies(prog: &mut CollectiveProgram) -> usize {
                 StepKind::Copy { src, dst },
             ) = (out.last_mut(), &step.kind)
             {
-                if contiguous(psrc, src) && contiguous(pdst, dst) {
-                    psrc.len += src.len;
-                    pdst.len += dst.len;
+                let msrc = Loc {
+                    len: psrc.len + src.len,
+                    ..*psrc
+                };
+                let mdst = Loc {
+                    len: pdst.len + dst.len,
+                    ..*pdst
+                };
+                if contiguous(psrc, src) && contiguous(pdst, dst) && !locs_overlap(&msrc, &mdst) {
+                    (*psrc, *pdst) = (msrc, mdst);
                     merged += 1;
                     continue;
                 }
@@ -1089,6 +1099,38 @@ mod tests {
             opt.ranks[1].steps[0].kind,
             StepKind::Recv { dst, .. } if dst.len == 8
         ));
+    }
+
+    #[test]
+    fn chained_copies_do_not_coalesce() {
+        // Shift a block right twice: the second copy reads what the
+        // first wrote, so one merged copy would move different bytes
+        // (and overlap its own source).
+        let a = |off| loc(Buf::Arg(0), off, 4);
+        let prog = mini(
+            1,
+            12,
+            vec![vec![
+                step(
+                    StepKind::Copy {
+                        src: a(0),
+                        dst: a(4),
+                    },
+                    0,
+                ),
+                step(
+                    StepKind::Copy {
+                        src: a(4),
+                        dst: a(8),
+                    },
+                    0,
+                ),
+            ]],
+            0,
+        );
+        let (opt, stats) = optimize(&prog);
+        assert_eq!(stats.coalesced, 0);
+        assert_eq!(opt.ranks[0].steps, prog.ranks[0].steps);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Iterative applications (the paper's motivating workloads — §9's
 //! "rows and columns of a logical mesh" computations) issue the *same*
 //! collective with the same geometry every iteration. A plan runs the
-//! cost-model selection once, compiles the chosen strategy to a
+//! cost-model selection once — the communicator's
+//! [`auto_choice`](Communicator::auto_choice), so a plan runs exactly
+//! what the one-shot [`Algo::Auto`](crate::Algo::Auto) call would, a
+//! hierarchical hybrid included — compiles the chosen strategy to a
 //! [`CollectiveProgram`](crate::ir::CollectiveProgram) via the
 //! process-wide [plan cache](crate::ir::global_cache), and then executes
 //! the compiled step list with no per-call selection or lowering
@@ -33,41 +36,26 @@ use crate::communicator::Communicator;
 use crate::error::Result;
 use crate::ir::{self, ArgBuf, CollectiveProgram, PlanKey, PlanOp};
 use crate::op::{Elem, ReduceOp};
-use intercom_cost::{CollectiveOp, Strategy};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// The shared compiled-program handle every plan wraps: the cached
-/// program (or the lowering error, stashed here and surfaced on the
-/// first execute) plus the private scratch arena the interpreter
-/// re-zeroes — never re-allocates — on each run.
+/// The shared compiled-program handle every plan wraps: the key it was
+/// selected and compiled under, the cached program (or the lowering
+/// error, stashed here and surfaced on the first execute) plus the
+/// private scratch arena the interpreter re-zeroes — never
+/// re-allocates — on each run.
 struct PlanCore<T: Scalar> {
+    key: PlanKey,
     program: Result<Arc<CollectiveProgram>>,
     scratch: RefCell<Vec<T>>,
 }
 
 impl<T: Scalar> PlanCore<T> {
-    fn compile<C: Comm + ?Sized>(
-        cc: &Communicator<'_, C>,
-        op: PlanOp,
-        strategy: Option<Strategy>,
-        n: usize,
-    ) -> Self {
-        // Persistent plans compile at full optimization: the pass
-        // pipeline's rewrites are re-proven by the schedule audit and
-        // pinned byte-identical by the differential suites, so the
-        // optimized program is the deployed artifact.
-        let key = PlanKey {
-            op,
-            p: cc.size(),
-            n,
-            elem_size: std::mem::size_of::<T>(),
-            strategy,
-            hier: None,
-            opt: ir::OptLevel::Full,
-        };
+    fn compile<C: Comm + ?Sized>(cc: &Communicator<'_, C>, op: PlanOp, n: usize) -> Self {
+        let key = cc.auto_plan_key(op, n, std::mem::size_of::<T>());
         PlanCore {
             program: ir::global_cache().get_or_compile(&key),
+            key,
             scratch: RefCell::new(Vec::new()),
         }
     }
@@ -84,20 +72,19 @@ impl<T: Scalar> PlanCore<T> {
 /// element count.
 pub struct BcastPlan<T: Scalar> {
     core: PlanCore<T>,
-    strategy: Strategy,
 }
 
 impl<T: Scalar> BcastPlan<T> {
     /// Plans a broadcast of `len` elements from `root`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, root: usize, len: usize) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::Broadcast, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, Some(strategy.clone()), len);
-        BcastPlan { core, strategy }
+        let core = PlanCore::compile(cc, PlanOp::Broadcast { root }, len);
+        BcastPlan { core }
     }
 
-    /// The frozen strategy (for inspection/reporting).
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The plan-cache key this plan was selected and compiled under:
+    /// its strategy, or its hierarchical hybrid on a cluster.
+    pub fn key(&self) -> &PlanKey {
+        &self.core.key
     }
 
     /// The compiled schedule this plan executes.
@@ -125,7 +112,6 @@ impl<T: Scalar> BcastPlan<T> {
 /// recursive path.
 pub struct ReducePlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
@@ -137,14 +123,14 @@ impl<T: Elem> ReducePlan<T> {
         len: usize,
         op: ReduceOp,
     ) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::CombineToOne, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, Some(strategy.clone()), len);
-        ReducePlan { core, strategy, op }
+        let core = PlanCore::compile(cc, PlanOp::Reduce { root }, len);
+        ReducePlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The plan-cache key this plan was selected and compiled under:
+    /// its strategy, or its hierarchical hybrid on a cluster.
+    pub fn key(&self) -> &PlanKey {
+        &self.core.key
     }
 
     /// The compiled schedule this plan executes.
@@ -170,21 +156,20 @@ impl<T: Elem> ReducePlan<T> {
 /// A frozen combine-to-all (allreduce).
 pub struct AllreducePlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
 impl<T: Elem> AllreducePlan<T> {
     /// Plans an allreduce of `len` elements under `op`.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, len: usize, op: ReduceOp) -> Self {
-        let strategy = cc.auto_strategy(CollectiveOp::CombineToAll, len * std::mem::size_of::<T>());
-        let core = PlanCore::compile(cc, PlanOp::AllReduce, Some(strategy.clone()), len);
-        AllreducePlan { core, strategy, op }
+        let core = PlanCore::compile(cc, PlanOp::AllReduce, len);
+        AllreducePlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The plan-cache key this plan was selected and compiled under:
+    /// its strategy, or its hierarchical hybrid on a cluster.
+    pub fn key(&self) -> &PlanKey {
+        &self.core.key
     }
 
     /// The compiled schedule this plan executes.
@@ -211,22 +196,20 @@ impl<T: Elem> AllreducePlan<T> {
 /// blocks.
 pub struct ReduceScatterPlan<T: Elem> {
     core: PlanCore<T>,
-    strategy: Strategy,
     op: ReduceOp,
 }
 
 impl<T: Elem> ReduceScatterPlan<T> {
     /// Plans a reduce-scatter leaving `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize, op: ReduceOp) -> Self {
-        let total = block * cc.size() * std::mem::size_of::<T>();
-        let strategy = cc.auto_strategy(CollectiveOp::DistributedCombine, total);
-        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, Some(strategy.clone()), block);
-        ReduceScatterPlan { core, strategy, op }
+        let core = PlanCore::compile(cc, PlanOp::ReduceScatter, block);
+        ReduceScatterPlan { core, op }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The plan-cache key this plan was selected and compiled under:
+    /// its strategy, or its hierarchical hybrid on a cluster.
+    pub fn key(&self) -> &PlanKey {
+        &self.core.key
     }
 
     /// The compiled schedule this plan executes.
@@ -259,21 +242,19 @@ impl<T: Elem> ReduceScatterPlan<T> {
 /// A frozen collect (allgather) with equal per-rank blocks.
 pub struct CollectPlan<T: Scalar> {
     core: PlanCore<T>,
-    strategy: Strategy,
 }
 
 impl<T: Scalar> CollectPlan<T> {
     /// Plans a collect of `block` elements per member.
     pub fn new<C: Comm + ?Sized>(cc: &Communicator<'_, C>, block: usize) -> Self {
-        let total = block * cc.size() * std::mem::size_of::<T>();
-        let strategy = cc.auto_strategy(CollectiveOp::Collect, total);
-        let core = PlanCore::compile(cc, PlanOp::Collect, Some(strategy.clone()), block);
-        CollectPlan { core, strategy }
+        let core = PlanCore::compile(cc, PlanOp::Collect, block);
+        CollectPlan { core }
     }
 
-    /// The frozen strategy.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
+    /// The plan-cache key this plan was selected and compiled under:
+    /// its strategy, or its hierarchical hybrid on a cluster.
+    pub fn key(&self) -> &PlanKey {
+        &self.core.key
     }
 
     /// The compiled schedule this plan executes.
@@ -313,7 +294,7 @@ mod tests {
     use super::*;
     use crate::comm::SelfComm;
     use crate::error::CommError;
-    use intercom_cost::MachineParams;
+    use intercom_cost::{CollectiveOp, HierChoice, MachineParams};
 
     #[test]
     fn plans_run_on_world_of_one() {
@@ -381,10 +362,10 @@ mod tests {
         let c = SelfComm;
         let cc = Communicator::world(&c, MachineParams::PARAGON);
         let bp = BcastPlan::<u8>::new(&cc, 0, 4096);
-        assert_eq!(
-            *bp.strategy(),
-            cc.auto_strategy(CollectiveOp::Broadcast, 4096)
-        );
+        let HierChoice::Flat(s) = cc.auto_choice(CollectiveOp::Broadcast, 4096) else {
+            panic!("a flat world selects a flat strategy");
+        };
+        assert_eq!(bp.key().strategy, Some(s));
     }
 
     #[test]

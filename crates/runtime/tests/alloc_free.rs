@@ -17,11 +17,15 @@
 //!    range lists, subgroup member lists), bounded and independent of
 //!    payload size.
 //!
-//! The counter is process-global, so measured windows are bracketed by
-//! barriers (warmed planned allreduce) keeping other ranks quiescent —
-//! and the tests themselves are serialized through [`WINDOW`], since
-//! the harness otherwise runs them on concurrent threads whose
-//! allocations would land in each other's windows.
+//! Only rank threads count (see [`count_this_thread`]): the test
+//! harness's own threads allocate whenever another test finishes or
+//! starts, and those allocations are not the transport's. The counter
+//! is still shared by all ranks, so measured windows are bracketed by
+//! barriers (a symmetric exchange, or a warmed planned allreduce)
+//! keeping other ranks quiescent — and the tests themselves are
+//! serialized through [`WINDOW`], since the harness otherwise runs them
+//! on concurrent threads whose ranks would land in each other's
+//! windows.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -30,18 +34,37 @@ use intercom::{Comm, Communicator, ReduceOp};
 use intercom_cost::MachineParams;
 use intercom_runtime::{run_world, DEFAULT_RENDEZVOUS_THRESHOLD};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: set on rank threads only.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Makes the calling (rank) thread's allocations count.
+fn count_this_thread() {
+    COUNTED.with(|c| c.set(true));
+}
+
+/// Bumps the counter for an allocation on a counted thread. A thread
+/// whose thread-locals are already torn down is not a rank mid-window.
+fn note_allocation() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: a pure pass-through to `System` plus a relaxed counter bump;
 // every `GlobalAlloc` contract obligation is discharged by `System`
 // itself, and the counter has no effect on layout or pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: `layout` is forwarded unchanged from our caller, who
         // guarantees it is non-zero-sized as `GlobalAlloc` requires.
         unsafe { System.alloc(layout) }
@@ -55,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: `ptr`/`layout` describe a live block from this
         // allocator and `new_size` is non-zero, forwarded unchanged from
         // the caller's `realloc` contract.
@@ -80,6 +103,7 @@ fn window_guard() -> std::sync::MutexGuard<'static, ()> {
 fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
     let _window = window_guard();
     let out = run_world(2, |c| {
+        count_this_thread();
         let peer = 1 - c.rank();
         let mine = vec![c.rank() as u8; n];
         let mut got = vec![0u8; n];
@@ -88,14 +112,22 @@ fn allocations_during_exchanges(n: usize, warmup: usize, iters: usize) -> u64 {
         }
         // Lockstep ping-pong keeps mailbox depth at 1, but a receiver
         // descheduled under load lets the peer's next send queue behind
-        // an unconsumed one (depth 2) — growing the mailbox and pulling
-        // a second payload buffer from the pool. Both are legitimate
-        // one-time warm-up costs, so provision them here rather than
-        // letting a loaded machine pay them inside the window.
+        // an unconsumed one (depth 2), which needs a second payload
+        // buffer: a sender's buffer returns to its pool only when the
+        // peer consumes the message. Provision it deterministically —
+        // two back-to-back sends alone do not, since a fast peer
+        // consumes the first before the second is sent. Here the peer
+        // receives tag 1 only after the tag-2 handshake, which each
+        // rank posts after both of its sends, so both buffers are
+        // outstanding at once.
         c.send(peer, 1, &mine).unwrap();
         c.send(peer, 1, &mine).unwrap();
+        c.sendrecv(peer, &mine, peer, &mut got, 2).unwrap();
         c.recv(peer, 1, &mut got).unwrap();
         c.recv(peer, 1, &mut got).unwrap();
+        // One more exchange acts as a barrier: the peer's message
+        // arrives only after its receives above returned our buffers.
+        c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..iters {
             c.sendrecv(peer, &mine, peer, &mut got, 1).unwrap();
@@ -137,6 +169,7 @@ fn rendezvous_hops_allocate_at_most_stray_flags() {
 fn allocations_during_steady_rounds(p: usize, elems: usize, rounds: usize) -> u64 {
     let _window = window_guard();
     let out = run_world(p, |c| {
+        count_this_thread();
         let cc = Communicator::world(c, MachineParams::PARAGON);
         let bcast = BcastPlan::<f64>::new(&cc, 0, elems);
         let collect = CollectPlan::<f64>::new(&cc, elems);

@@ -44,7 +44,7 @@
 
 use intercom::algorithms::LEVEL_TAG_STRIDE;
 use intercom::groups::{col_members, row_members, submesh_members};
-use intercom::ir::OptStats;
+use intercom::ir::{OptStats, PlanOp};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::CommError;
 use intercom_cost::{
@@ -56,8 +56,7 @@ use intercom_verify::{
     analyze_links, chaos_sweep, check_buffer_safety, check_single_port, extract_programs,
     hang_probe, hier_ir_programs, match_programs, stall_probe, tenant_tag_base, verify_concurrent,
     verify_schedule, verify_schedule_hier, verify_schedule_ir, verify_schedule_ir_opt, ChaosReport,
-    ConcurrentViolation, Event, HangDiagnosis, Schedule, Source, Tenant, VerifyOp, Violation,
-    Workload,
+    ConcurrentViolation, Event, HangDiagnosis, Schedule, Source, Tenant, Violation, Workload,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,7 +130,7 @@ struct Stats {
     threads: usize,
 }
 
-fn run(stats: &mut Stats, mesh: &Mesh2D, op: VerifyOp, st: Option<&Strategy>, n: usize) {
+fn run(stats: &mut Stats, mesh: &Mesh2D, op: PlanOp, st: Option<&Strategy>, n: usize) {
     stats.checks += 1;
     let result = match stats.source {
         Source::Ir => verify_schedule_ir(&op, st, mesh, n),
@@ -192,22 +191,22 @@ fn audit_shape(stats: &mut Stats, p: usize, r: usize, c: usize) {
     for st in &strategies {
         for n in VECTOR_SIZES {
             for root in roots(p) {
-                run(stats, &mesh, VerifyOp::Broadcast { root }, Some(st), n);
-                run(stats, &mesh, VerifyOp::Reduce { root }, Some(st), n);
+                run(stats, &mesh, PlanOp::Broadcast { root }, Some(st), n);
+                run(stats, &mesh, PlanOp::Reduce { root }, Some(st), n);
             }
-            run(stats, &mesh, VerifyOp::AllReduce, Some(st), n);
+            run(stats, &mesh, PlanOp::AllReduce, Some(st), n);
         }
         for n in BLOCK_SIZES {
-            run(stats, &mesh, VerifyOp::ReduceScatter, Some(st), n);
-            run(stats, &mesh, VerifyOp::Collect, Some(st), n);
+            run(stats, &mesh, PlanOp::ReduceScatter, Some(st), n);
+            run(stats, &mesh, PlanOp::Collect, Some(st), n);
         }
     }
     for n in BLOCK_SIZES {
         for root in roots(p) {
-            run(stats, &mesh, VerifyOp::Scatter { root }, None, n);
-            run(stats, &mesh, VerifyOp::Gather { root }, None, n);
+            run(stats, &mesh, PlanOp::Scatter { root }, None, n);
+            run(stats, &mesh, PlanOp::Gather { root }, None, n);
         }
-        run(stats, &mesh, VerifyOp::Alltoall, None, n);
+        run(stats, &mesh, PlanOp::Alltoall, None, n);
     }
     for n in VECTOR_SIZES {
         for root in roots(p) {
@@ -215,7 +214,7 @@ fn audit_shape(stats: &mut Stats, p: usize, r: usize, c: usize) {
                 run(
                     stats,
                     &mesh,
-                    VerifyOp::PipelinedBcast { root, segments },
+                    PlanOp::PipelinedBcast { root, segments },
                     None,
                     n,
                 );
@@ -307,7 +306,7 @@ fn audit(quiet: bool, source: Source, node_counts: &[usize]) -> Stats {
 fn probe_step_move() -> bool {
     let st = Strategy::pure_mst(8);
     let programs =
-        extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 8, 64).expect("extract");
+        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 8, 64).expect("extract");
     let mut sched = match_programs(&programs).expect("valid schedule");
     let idx = sched
         .events
@@ -326,7 +325,7 @@ fn probe_step_move() -> bool {
 fn probe_tag_bump() -> bool {
     let st = Strategy::pure_mst(4);
     let mut programs =
-        extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 32).expect("extract");
+        extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 32).expect("extract");
     let bumped = programs[1].iter_mut().find_map(|op| match op {
         OpRecord::Send { tag, .. }
         | OpRecord::Recv { tag, .. }
@@ -399,7 +398,7 @@ fn row_tenant(mesh: &Mesh2D, r: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_long(members.len());
     Tenant::lowered(
         format!("row{r}"),
-        &VerifyOp::Collect,
+        &PlanOp::Collect,
         Some(&st),
         2 * members.len(),
         members,
@@ -413,7 +412,7 @@ fn col_tenant(mesh: &Mesh2D, c: usize, idx: usize) -> Tenant {
     let st = Strategy::pure_mst(members.len());
     Tenant::lowered(
         format!("col{c}"),
-        &VerifyOp::AllReduce,
+        &PlanOp::AllReduce,
         Some(&st),
         8,
         members,
@@ -432,7 +431,7 @@ fn submesh_tenant(
     let st = Strategy::pure_mst(members.len());
     Tenant::lowered(
         name,
-        &VerifyOp::Broadcast { root: 0 },
+        &PlanOp::Broadcast { root: 0 },
         Some(&st),
         32,
         members,
@@ -500,7 +499,7 @@ fn concurrent_scenarios() -> Vec<(String, Workload)> {
             .map(|g| {
                 Tenant::lowered(
                     format!("pair{g}"),
-                    &VerifyOp::Broadcast { root: 0 },
+                    &PlanOp::Broadcast { root: 0 },
                     Some(&Strategy::pure_mst(2)),
                     16,
                     vec![g, g + pairs],
@@ -559,7 +558,7 @@ fn probe_concurrent_tag_collision() -> bool {
     let mk = |name: &str| {
         Tenant::lowered(
             name,
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             16,
             vec![0, 1, 2, 3],
@@ -584,7 +583,7 @@ fn probe_concurrent_buffer_overlap() -> bool {
     let mk = |i: usize| {
         let mut t = Tenant::lowered(
             format!("t{i}"),
-            &VerifyOp::Broadcast { root: 0 },
+            &PlanOp::Broadcast { root: 0 },
             Some(&st),
             16,
             vec![0, 1, 2, 3],
@@ -656,7 +655,7 @@ fn probe_concurrent_cross_deadlock() -> bool {
 fn probe_concurrent_bad_embedding() -> bool {
     let t = Tenant::lowered(
         "dup",
-        &VerifyOp::Broadcast { root: 0 },
+        &PlanOp::Broadcast { root: 0 },
         Some(&Strategy::pure_mst(2)),
         8,
         vec![0, 0],
@@ -773,7 +772,7 @@ struct HierStats {
     failures: Vec<String>,
 }
 
-fn run_hier(stats: &mut HierStats, op: &VerifyOp, hs: &HierStrategy, n: usize) {
+fn run_hier(stats: &mut HierStats, op: &PlanOp, hs: &HierStrategy, n: usize) {
     stats.checks += 1;
     match verify_schedule_hier(op, hs, n) {
         Ok(rep) => {
@@ -816,30 +815,30 @@ fn hier_sweep(quiet: bool, full: bool) -> HierStats {
                     CollectiveOp::Broadcast => {
                         for &n in vector_sizes {
                             for root in roots(p) {
-                                run_hier(&mut stats, &VerifyOp::Broadcast { root }, hs, n);
+                                run_hier(&mut stats, &PlanOp::Broadcast { root }, hs, n);
                             }
                         }
                     }
                     CollectiveOp::CombineToOne => {
                         for &n in vector_sizes {
                             for root in roots(p) {
-                                run_hier(&mut stats, &VerifyOp::Reduce { root }, hs, n);
+                                run_hier(&mut stats, &PlanOp::Reduce { root }, hs, n);
                             }
                         }
                     }
                     CollectiveOp::CombineToAll => {
                         for &n in vector_sizes {
-                            run_hier(&mut stats, &VerifyOp::AllReduce, hs, n);
+                            run_hier(&mut stats, &PlanOp::AllReduce, hs, n);
                         }
                     }
                     CollectiveOp::Collect => {
                         for &n in block_sizes {
-                            run_hier(&mut stats, &VerifyOp::Collect, hs, n);
+                            run_hier(&mut stats, &PlanOp::Collect, hs, n);
                         }
                     }
                     CollectiveOp::DistributedCombine => {
                         for &n in block_sizes {
-                            run_hier(&mut stats, &VerifyOp::ReduceScatter, hs, n);
+                            run_hier(&mut stats, &PlanOp::ReduceScatter, hs, n);
                         }
                     }
                     _ => unreachable!("only the five hierarchical ops are swept"),
@@ -868,7 +867,7 @@ fn probe_hier_tag_bump() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("allreduce has a hierarchy");
-    let mut programs = hier_ir_programs(&VerifyOp::AllReduce, &hs, 32).expect("hier lowers");
+    let mut programs = hier_ir_programs(&PlanOp::AllReduce, &hs, 32).expect("hier lowers");
     let bumped = programs[1].iter_mut().find_map(|op| match op {
         OpRecord::Send { tag, .. }
         | OpRecord::Recv { tag, .. }
@@ -894,8 +893,7 @@ fn probe_hier_step_move() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("broadcast has a hierarchy");
-    let programs =
-        hier_ir_programs(&VerifyOp::Broadcast { root: 0 }, &hs, 64).expect("hier lowers");
+    let programs = hier_ir_programs(&PlanOp::Broadcast { root: 0 }, &hs, 64).expect("hier lowers");
     let mut sched = match_programs(&programs).expect("valid schedule");
     let sends: Vec<usize> = sched
         .events
@@ -923,7 +921,7 @@ fn probe_hier_bad_strategy() -> bool {
         &HierMachine::paragon_cluster(),
     )
     .expect("broadcast has a hierarchy");
-    verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).is_err()
+    verify_schedule_hier(&PlanOp::AllReduce, &hs, 16).is_err()
 }
 
 /// The hierarchical mutation probes run with the hier sweep.

@@ -26,10 +26,11 @@
 //! can gate on the diagnosis machinery itself.
 
 use crate::checks::Violation;
-use crate::extract::{extract_programs, VerifyOp};
+use crate::extract::extract_programs;
 use crate::schedule::match_programs;
 use intercom::comm::GroupComm;
 use intercom::faults::{FaultEvent, FaultEventKind};
+use intercom::ir::PlanOp;
 use intercom::trace::OpRecord;
 use intercom::{algorithms, Comm, ReduceOp, Tag};
 use intercom::{AbortCause, AbortInfo, CollectiveError, CommError, Fault, FaultKind, FaultLayer};
@@ -46,7 +47,7 @@ use std::time::Duration;
 /// World size of every chaos case (simulated as a 2×3 mesh).
 pub const CHAOS_WORLD: usize = 6;
 
-/// Size parameter of every chaos case ([`VerifyOp`] unit convention);
+/// Size parameter of every chaos case ([`PlanOp`] unit convention);
 /// small enough that every message rides the eager path.
 pub const CHAOS_N: usize = 48;
 
@@ -147,24 +148,24 @@ pub fn scenarios() -> Vec<Scenario> {
 }
 
 /// The collectives the sweep exercises (the paper's seven; root 0).
-pub fn chaos_ops() -> Vec<VerifyOp> {
+pub fn chaos_ops() -> Vec<PlanOp> {
     vec![
-        VerifyOp::Broadcast { root: 0 },
-        VerifyOp::Reduce { root: 0 },
-        VerifyOp::AllReduce,
-        VerifyOp::ReduceScatter,
-        VerifyOp::Collect,
-        VerifyOp::Scatter { root: 0 },
-        VerifyOp::Gather { root: 0 },
+        PlanOp::Broadcast { root: 0 },
+        PlanOp::Reduce { root: 0 },
+        PlanOp::AllReduce,
+        PlanOp::ReduceScatter,
+        PlanOp::Collect,
+        PlanOp::Scatter { root: 0 },
+        PlanOp::Gather { root: 0 },
     ]
 }
 
 /// The rank whose first outbound operation the scenario corrupts: for
 /// the to-root collectives the root only receives first, so the fault
 /// moves to a leaf sender.
-pub fn fault_rank(op: &VerifyOp) -> usize {
+pub fn fault_rank(op: &PlanOp) -> usize {
     match op {
-        VerifyOp::Reduce { .. } | VerifyOp::Gather { .. } => 1,
+        PlanOp::Reduce { .. } | PlanOp::Gather { .. } => 1,
         _ => 0,
     }
 }
@@ -172,7 +173,7 @@ pub fn fault_rank(op: &VerifyOp) -> usize {
 /// Builds the scripted plan for one `(scenario, op)` cell. The seed is
 /// derived from the scenario index so corrupted byte positions are
 /// reproducible — and identical across backends.
-pub fn scenario_plan(sc: &Scenario, op: &VerifyOp, seed: u64) -> FaultPlan {
+pub fn scenario_plan(sc: &Scenario, op: &PlanOp, seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_fault(Fault {
         rank: fault_rank(op),
         peer: None,
@@ -197,7 +198,7 @@ pub struct CaseRun {
 /// Runs `op` once under `plan` on `backend` with the chaos world size
 /// and returns the full evidence. An empty plan is the fault-free
 /// baseline the recoverable cases are compared against.
-pub fn run_case(backend: Backend, op: &VerifyOp, plan: &FaultPlan) -> CaseRun {
+pub fn run_case(backend: Backend, op: &PlanOp, plan: &FaultPlan) -> CaseRun {
     let p = CHAOS_WORLD;
     let strategy = op.takes_strategy().then(|| Strategy::pure_mst(p));
     let stalls = plan
@@ -245,7 +246,7 @@ pub fn run_case(backend: Backend, op: &VerifyOp, plan: &FaultPlan) -> CaseRun {
 fn chaos_rank<C: Comm + ?Sized>(
     comm: &C,
     layer: Arc<FaultLayer>,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
 ) -> Result<Vec<u8>, CollectiveError> {
     let rank = comm.rank();
@@ -267,7 +268,7 @@ fn chaos_rank<C: Comm + ?Sized>(
 /// check compares against the fault-free baseline.
 fn run_op<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> intercom::Result<Vec<u8>> {
@@ -281,7 +282,7 @@ fn run_op<C: Comm + ?Sized>(
     };
     let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
     match *op {
-        VerifyOp::Broadcast { root } => {
+        PlanOp::Broadcast { root } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(&mut buf);
@@ -289,33 +290,33 @@ fn run_op<C: Comm + ?Sized>(
             algorithms::broadcast(&gc, st(), root, &mut buf, 0)?;
             Ok(buf)
         }
-        VerifyOp::Reduce { root } => {
+        PlanOp::Reduce { root } => {
             let mut buf = vec![0u8; n];
             fill(&mut buf);
             algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0)?;
             Ok(buf)
         }
-        VerifyOp::AllReduce => {
+        PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(&mut buf);
             algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0)?;
             Ok(buf)
         }
-        VerifyOp::ReduceScatter => {
+        PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(&mut contrib);
             let mut mine = vec![0u8; n];
             algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0)?;
             Ok(mine)
         }
-        VerifyOp::Collect => {
+        PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(&mut mine);
             let mut all = vec![0u8; p * n];
             algorithms::collect(&gc, st(), &mine, &mut all, 0)?;
             Ok(all)
         }
-        VerifyOp::Scatter { root } => {
+        PlanOp::Scatter { root } => {
             let mut full = vec![0u8; p * n];
             fill(&mut full);
             let mut mine = vec![0u8; n];
@@ -323,7 +324,7 @@ fn run_op<C: Comm + ?Sized>(
             algorithms::scatter(&gc, root, full, &mut mine, 0)?;
             Ok(mine)
         }
-        VerifyOp::Gather { root } => {
+        PlanOp::Gather { root } => {
             let mut mine = vec![0u8; n];
             fill(&mut mine);
             let mut full = vec![0u8; p * n];
@@ -333,7 +334,7 @@ fn run_op<C: Comm + ?Sized>(
             }
             Ok(if rank == root { full } else { mine })
         }
-        VerifyOp::Alltoall | VerifyOp::PipelinedBcast { .. } => {
+        PlanOp::Alltoall | PlanOp::PipelinedBcast { .. } => {
             panic!("{} is not part of the chaos matrix", op.name())
         }
     }
@@ -507,7 +508,7 @@ pub fn hang_probe() -> HangProbe {
 /// rank 2 as the straggler rather than report a deadlock.
 pub fn stall_probe() -> HangDiagnosis {
     let st = Strategy::pure_mst(4);
-    let programs = extract_programs(&VerifyOp::Broadcast { root: 0 }, Some(&st), 4, 16)
+    let programs = extract_programs(&PlanOp::Broadcast { root: 0 }, Some(&st), 4, 16)
         .expect("broadcast extracts");
     let first_send = |prog: &[OpRecord]| {
         prog.iter()
@@ -615,12 +616,12 @@ impl fmt::Display for ChaosReport {
 pub fn chaos_sweep(smoke: bool) -> ChaosReport {
     let ops = chaos_ops();
     let scs = scenarios();
-    let (ops, scs): (Vec<VerifyOp>, Vec<Scenario>) = if smoke {
+    let (ops, scs): (Vec<PlanOp>, Vec<Scenario>) = if smoke {
         (
             vec![
-                VerifyOp::Broadcast { root: 0 },
-                VerifyOp::AllReduce,
-                VerifyOp::Gather { root: 0 },
+                PlanOp::Broadcast { root: 0 },
+                PlanOp::AllReduce,
+                PlanOp::Gather { root: 0 },
             ],
             scs.into_iter()
                 .filter(|s| matches!(s.name, "drop-once" | "corrupt-once" | "drop-storm"))
@@ -654,7 +655,7 @@ pub fn chaos_sweep(smoke: bool) -> ChaosReport {
 fn check_case(
     report: &mut ChaosReport,
     backend: Backend,
-    op: &VerifyOp,
+    op: &PlanOp,
     sc: &Scenario,
     baseline: &CaseRun,
     run: &CaseRun,
@@ -852,8 +853,8 @@ mod tests {
             }
         }
         // To-root collectives fault a leaf (the root receives first).
-        assert_eq!(fault_rank(&VerifyOp::Reduce { root: 0 }), 1);
-        assert_eq!(fault_rank(&VerifyOp::Gather { root: 0 }), 1);
+        assert_eq!(fault_rank(&PlanOp::Reduce { root: 0 }), 1);
+        assert_eq!(fault_rank(&PlanOp::Gather { root: 0 }), 1);
     }
 
     #[test]

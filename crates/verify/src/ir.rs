@@ -15,7 +15,6 @@
 //! simulator execute, while trace extraction ([`crate::extract`])
 //! remains as an independent cross-check on the lowering.
 
-use crate::extract::VerifyOp;
 use intercom::ir::{lower, lower_hier, Buf, CollectiveProgram, PlanOp, StepKind};
 use intercom::trace::{MemSpan, OpRecord};
 use intercom::Result;
@@ -38,21 +37,6 @@ fn span(buf: Buf, off: usize, len: usize) -> MemSpan {
     MemSpan {
         addr: base + off,
         len,
-    }
-}
-
-/// The compiled-plan form of a [`VerifyOp`].
-pub fn plan_op(op: &VerifyOp) -> PlanOp {
-    match *op {
-        VerifyOp::Broadcast { root } => PlanOp::Broadcast { root },
-        VerifyOp::Reduce { root } => PlanOp::Reduce { root },
-        VerifyOp::AllReduce => PlanOp::AllReduce,
-        VerifyOp::ReduceScatter => PlanOp::ReduceScatter,
-        VerifyOp::Collect => PlanOp::Collect,
-        VerifyOp::Scatter { root } => PlanOp::Scatter { root },
-        VerifyOp::Gather { root } => PlanOp::Gather { root },
-        VerifyOp::Alltoall => PlanOp::Alltoall,
-        VerifyOp::PipelinedBcast { root, segments } => PlanOp::PipelinedBcast { root, segments },
     }
 }
 
@@ -114,14 +98,14 @@ pub fn programs_of(prog: &CollectiveProgram) -> Vec<Vec<OpRecord>> {
 /// # Panics
 ///
 /// Panics if `strategy` is `None` for an op where
-/// [`VerifyOp::takes_strategy`] is true.
+/// [`PlanOp::takes_strategy`] is true.
 pub fn ir_programs(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
 ) -> Result<Vec<Vec<OpRecord>>> {
-    let prog = lower(plan_op(op), strategy, p, n, 1)?;
+    let prog = lower(*op, strategy, p, n, 1)?;
     Ok(programs_of(&prog))
 }
 
@@ -134,8 +118,8 @@ pub fn ir_programs(
 ///
 /// `Err` when the op has no hierarchical lowering (scatter, gather,
 /// alltoall, pipelined broadcast) or the strategy fails validation.
-pub fn hier_ir_programs(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Result<Vec<Vec<OpRecord>>> {
-    let prog = lower_hier(plan_op(op), hs, n, 1)?;
+pub fn hier_ir_programs(op: &PlanOp, hs: &HierStrategy, n: usize) -> Result<Vec<Vec<OpRecord>>> {
+    let prog = lower_hier(*op, hs, n, 1)?;
     Ok(programs_of(&prog))
 }
 
@@ -150,14 +134,14 @@ pub fn hier_ir_programs(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Result<Ve
 /// # Panics
 ///
 /// Panics if `strategy` is `None` for an op where
-/// [`VerifyOp::takes_strategy`] is true.
+/// [`PlanOp::takes_strategy`] is true.
 pub fn ir_opt_programs(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
 ) -> Result<(Vec<Vec<OpRecord>>, intercom::ir::OptStats)> {
-    let prog = lower(plan_op(op), strategy, p, n, 1)?;
+    let prog = lower(*op, strategy, p, n, 1)?;
     let (opt, stats) = intercom::ir::optimize(&prog);
     Ok((programs_of(&opt), stats))
 }
@@ -197,7 +181,7 @@ mod tests {
     #[test]
     fn ir_and_trace_programs_share_a_signature() {
         let st = Strategy::pure_long(6);
-        let op = VerifyOp::AllReduce;
+        let op = PlanOp::AllReduce;
         let ir = ir_programs(&op, Some(&st), 6, 23).unwrap();
         let tr = extract_programs(&op, Some(&st), 6, 23).unwrap();
         assert_eq!(signature(&ir), signature(&tr));
@@ -206,7 +190,7 @@ mod tests {
     #[test]
     fn synthetic_spans_separate_args_and_scratch() {
         let st = Strategy::pure_mst(4);
-        let progs = ir_programs(&VerifyOp::Collect, Some(&st), 4, 8).unwrap();
+        let progs = ir_programs(&PlanOp::Collect, Some(&st), 4, 8).unwrap();
         let spans: Vec<MemSpan> = progs
             .iter()
             .flatten()

@@ -85,7 +85,7 @@ pub use concurrent::{
     tenant_tag_base, verify_concurrent, ConcurrentReport, ConcurrentViolation, CtxId, Tenant,
     Workload, TENANT_TAG_STRIDE,
 };
-pub use extract::{extract_program, extract_programs, VerifyOp};
+pub use extract::{extract_program, extract_programs};
 pub use ir::{hier_ir_programs, ir_opt_programs, ir_programs};
 pub use report::{
     verify_programs, verify_schedule, verify_schedule_hier, verify_schedule_ir,

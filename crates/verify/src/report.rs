@@ -3,9 +3,10 @@
 use crate::checks::{
     analyze_links, check_buffer_safety, check_program_aliasing, check_single_port, Violation,
 };
-use crate::extract::{extract_programs, VerifyOp};
+use crate::extract::extract_programs;
 use crate::schedule::match_programs;
 use intercom::hier::HIER_STAGE_STRIDE;
+use intercom::ir::PlanOp;
 use intercom::trace::OpRecord;
 use intercom::Result;
 use intercom_cost::{ConflictModel, HierStrategy, StageRole, Strategy};
@@ -71,7 +72,7 @@ pub struct Report {
     /// Physical mesh shape `(rows, cols)`.
     pub mesh: (usize, usize),
     /// Size parameter passed to the collective (see
-    /// [`VerifyOp`](crate::extract::VerifyOp) for its unit).
+    /// [`PlanOp`] for its unit).
     pub n: usize,
     /// Where the verified programs came from.
     pub source: Source,
@@ -144,7 +145,7 @@ impl fmt::Display for Report {
 /// algorithm rejected its arguments); invariant failures land in
 /// [`Report::violations`].
 pub fn verify_schedule_ir(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
@@ -170,7 +171,7 @@ pub fn verify_schedule_ir(
 /// `Err` is returned only when the *lowering* itself fails; invariant
 /// failures land in [`Report::violations`].
 pub fn verify_schedule_ir_opt(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
@@ -194,7 +195,7 @@ pub fn verify_schedule_ir_opt(
 /// algorithm rejected its arguments); invariant failures land in
 /// [`Report::violations`].
 pub fn verify_schedule(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
@@ -228,7 +229,7 @@ pub fn verify_schedule(
 /// `Err` is returned only when the *lowering* itself fails (the op has
 /// no hierarchical template, or the strategy failed validation);
 /// invariant failures land in [`Report::violations`].
-pub fn verify_schedule_hier(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Result<Report> {
+pub fn verify_schedule_hier(op: &PlanOp, hs: &HierStrategy, n: usize) -> Result<Report> {
     let programs = crate::ir::hier_ir_programs(op, hs, n)?;
     let cluster = Cluster::new(
         Mesh2D::new(hs.shape.inter_rows, hs.shape.inter_cols),
@@ -328,7 +329,7 @@ pub fn verify_schedule_hier(op: &VerifyOp, hs: &HierStrategy, n: usize) -> Resul
 /// `mesh`, regardless of whether the programs came from the compiled IR
 /// or a trace.
 pub fn verify_programs(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: &Mesh2D,
     n: usize,
@@ -413,7 +414,7 @@ pub fn verify_programs(
         // (§4); the total exchange is an extension with inherent
         // sharing, bounded by p-1 messages crossing one link.
         let bound = match op {
-            VerifyOp::Alltoall => p.saturating_sub(1).max(1),
+            PlanOp::Alltoall => p.saturating_sub(1).max(1),
             _ => 1,
         };
         if la.max_sharing > bound {
@@ -438,7 +439,7 @@ mod tests {
     fn mst_broadcast_on_row_verifies_conflict_free() {
         let mesh = Mesh2D::new(1, 8);
         let st = Strategy::pure_mst(8);
-        let r = verify_schedule(&VerifyOp::Broadcast { root: 0 }, Some(&st), &mesh, 64).unwrap();
+        let r = verify_schedule(&PlanOp::Broadcast { root: 0 }, Some(&st), &mesh, 64).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         assert!(r.conflict_free);
     }
@@ -447,7 +448,7 @@ mod tests {
     fn ring_collect_on_mesh_verifies_conflict_free() {
         let mesh = Mesh2D::new(3, 4);
         let st = Strategy::pure_long(12);
-        let r = verify_schedule(&VerifyOp::Collect, Some(&st), &mesh, 8).unwrap();
+        let r = verify_schedule(&PlanOp::Collect, Some(&st), &mesh, 8).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         assert!(r.conflict_free);
     }
@@ -456,14 +457,14 @@ mod tests {
     fn hybrid_allreduce_verifies() {
         let mesh = Mesh2D::new(1, 12);
         let st = Strategy::new(vec![3, 4], StrategyKind::Mst);
-        let r = verify_schedule(&VerifyOp::AllReduce, Some(&st), &mesh, 24).unwrap();
+        let r = verify_schedule(&PlanOp::AllReduce, Some(&st), &mesh, 24).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
     }
 
     #[test]
     fn alltoall_verifies_within_bound() {
         let mesh = Mesh2D::new(2, 3);
-        let r = verify_schedule(&VerifyOp::Alltoall, None, &mesh, 4).unwrap();
+        let r = verify_schedule(&PlanOp::Alltoall, None, &mesh, 4).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
     }
 
@@ -477,7 +478,7 @@ mod tests {
         // verifies — but it is honestly reported as not conflict-free.
         let mesh = Mesh2D::new(3, 3);
         let st = Strategy::pure_long(9);
-        let r = verify_schedule(&VerifyOp::Broadcast { root: 8 }, Some(&st), &mesh, 947).unwrap();
+        let r = verify_schedule(&PlanOp::Broadcast { root: 8 }, Some(&st), &mesh, 947).unwrap();
         assert!(r.ok(), "cross-stage skew must not be a violation: {r}");
         assert!(!r.conflict_free, "skew sharing must still be reported");
         assert_eq!(r.max_link_sharing, 2);
@@ -491,7 +492,7 @@ mod tests {
         // case where the schedule is valid but not conflict-free.
         let mesh = Mesh2D::new(3, 3);
         let st = Strategy::pure_long(9);
-        let op = VerifyOp::Broadcast { root: 8 };
+        let op = PlanOp::Broadcast { root: 8 };
         let ir = verify_schedule_ir(&op, Some(&st), &mesh, 947).unwrap();
         let tr = verify_schedule(&op, Some(&st), &mesh, 947).unwrap();
         assert_eq!(ir.source, Source::Ir);
@@ -508,10 +509,10 @@ mod tests {
     fn ir_source_verifies_strategy_free_ops() {
         let mesh = Mesh2D::new(2, 3);
         for op in [
-            VerifyOp::Scatter { root: 0 },
-            VerifyOp::Gather { root: 5 },
-            VerifyOp::Alltoall,
-            VerifyOp::PipelinedBcast {
+            PlanOp::Scatter { root: 0 },
+            PlanOp::Gather { root: 5 },
+            PlanOp::Alltoall,
+            PlanOp::PipelinedBcast {
                 root: 0,
                 segments: 4,
             },
@@ -536,13 +537,13 @@ mod tests {
         ] {
             for (op, cost_op) in [
                 (
-                    VerifyOp::Broadcast {
+                    PlanOp::Broadcast {
                         root: shape.ranks() - 1,
                     },
                     CollectiveOp::Broadcast,
                 ),
-                (VerifyOp::AllReduce, CollectiveOp::CombineToAll),
-                (VerifyOp::Collect, CollectiveOp::Collect),
+                (PlanOp::AllReduce, CollectiveOp::CombineToAll),
+                (PlanOp::Collect, CollectiveOp::Collect),
             ] {
                 let hs = select_hier(cost_op, shape, 4096, &m).unwrap();
                 let r = verify_schedule_hier(&op, &hs, 64).unwrap();
@@ -566,7 +567,7 @@ mod tests {
             &HierMachine::delta_cluster(),
         )
         .unwrap();
-        let r = verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).unwrap();
+        let r = verify_schedule_hier(&PlanOp::AllReduce, &hs, 16).unwrap();
         assert!(r.ok(), "unexpected violations: {r}");
         let s = r.to_string();
         assert!(s.contains("[hier]"), "{s}");
@@ -587,7 +588,7 @@ mod tests {
         .unwrap();
         // A broadcast strategy replayed as an allreduce disagrees with
         // the op's template: the error surfaces as Err, not a violation.
-        assert!(verify_schedule_hier(&VerifyOp::AllReduce, &hs, 16).is_err());
+        assert!(verify_schedule_hier(&PlanOp::AllReduce, &hs, 16).is_err());
     }
 
     #[test]
@@ -596,6 +597,6 @@ mod tests {
         // schedule violation.
         let mesh = Mesh2D::new(1, 6);
         let st = Strategy::pure_mst(5);
-        assert!(verify_schedule(&VerifyOp::AllReduce, Some(&st), &mesh, 8).is_err());
+        assert!(verify_schedule(&PlanOp::AllReduce, Some(&st), &mesh, 8).is_err());
     }
 }

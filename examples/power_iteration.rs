@@ -58,7 +58,13 @@ fn main() {
             }
             lambda = norm; // Rayleigh-ish estimate for symmetric A
         }
-        (lambda, gather_plan.strategy().to_string())
+        let strategy = gather_plan.key().strategy.as_ref();
+        (
+            lambda,
+            strategy
+                .expect("a flat world selects a flat strategy")
+                .to_string(),
+        )
     });
 
     let (lambda, strategy) = &lambdas[0];

@@ -9,23 +9,23 @@
 //! same buffer shapes, same tags, same stage coordinates.
 
 use intercom::comm::GroupComm;
+use intercom::ir::{cost_op, PlanOp};
 use intercom::primitives::pipelined_ring_bcast;
 use intercom::{algorithms, Comm, ReduceOp, Result};
-use intercom_cost::{CollectiveOp, CostContext, MachineParams, Strategy};
+use intercom_cost::{CostContext, MachineParams, Strategy};
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_obs::{analyze, ResidualReport, RunRecord};
 use intercom_runtime::run_world_recorded;
 use intercom_topology::Mesh2D;
-use intercom_verify::VerifyOp;
 
 /// Runs `op` once at base tag 0 with the exact buffer shapes
 /// [`intercom_verify::extract_program`] replays symbolically, so the
 /// recorded events line up one-to-one with the verifier's schedule.
-/// `n` follows the [`VerifyOp`] size convention (total vector length
+/// `n` follows the [`PlanOp`] size convention (total vector length
 /// for broadcast/combine ops, per-member block length for the rest).
 pub fn run_collective<C: Comm + ?Sized>(
     comm: &C,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     n: usize,
 ) -> Result<()> {
@@ -39,93 +39,62 @@ pub fn run_collective<C: Comm + ?Sized>(
     };
     let st = || strategy.unwrap_or_else(|| panic!("{} requires a strategy", op.name()));
     match *op {
-        VerifyOp::Broadcast { root } => {
+        PlanOp::Broadcast { root } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(&mut buf);
             }
             algorithms::broadcast(&gc, st(), root, &mut buf, 0)
         }
-        VerifyOp::Reduce { root } => {
+        PlanOp::Reduce { root } => {
             let mut buf = vec![0u8; n];
             fill(&mut buf);
             algorithms::reduce(&gc, st(), root, &mut buf, ReduceOp::Max, 0)
         }
-        VerifyOp::AllReduce => {
+        PlanOp::AllReduce => {
             let mut buf = vec![0u8; n];
             fill(&mut buf);
             algorithms::allreduce(&gc, st(), &mut buf, ReduceOp::Max, 0)
         }
-        VerifyOp::ReduceScatter => {
+        PlanOp::ReduceScatter => {
             let mut contrib = vec![0u8; p * n];
             fill(&mut contrib);
             let mut mine = vec![0u8; n];
             algorithms::reduce_scatter(&gc, st(), &contrib, &mut mine, ReduceOp::Max, 0)
         }
-        VerifyOp::Collect => {
+        PlanOp::Collect => {
             let mut mine = vec![0u8; n];
             fill(&mut mine);
             let mut all = vec![0u8; p * n];
             algorithms::collect(&gc, st(), &mine, &mut all, 0)
         }
-        VerifyOp::Scatter { root } => {
+        PlanOp::Scatter { root } => {
             let mut full = vec![0u8; p * n];
             fill(&mut full);
             let mut mine = vec![0u8; n];
             let full = (rank == root).then_some(&full[..]);
             algorithms::scatter(&gc, root, full, &mut mine, 0)
         }
-        VerifyOp::Gather { root } => {
+        PlanOp::Gather { root } => {
             let mut mine = vec![0u8; n];
             fill(&mut mine);
             let mut full = vec![0u8; p * n];
             let full = (rank == root).then_some(&mut full[..]);
             algorithms::gather(&gc, root, &mine, full, 0)
         }
-        VerifyOp::Alltoall => {
+        PlanOp::Alltoall => {
             let mut send = vec![0u8; p * n];
             fill(&mut send);
             let mut recv = vec![0u8; p * n];
             algorithms::alltoall(&gc, &send, &mut recv, 0)
         }
-        VerifyOp::PipelinedBcast { root, segments } => {
+        PlanOp::PipelinedBcast { root, segments } => {
             let mut buf = vec![0u8; n];
             if rank == root {
                 fill(&mut buf);
             }
             pipelined_ring_bcast(&gc, root, &mut buf, segments, 0)
         }
-    }
-}
-
-/// The cost-model operation for a verifiable collective. `None` for
-/// the extensions (total exchange, pipelined broadcast) the paper's
-/// per-stage model does not price.
-pub fn cost_op(op: &VerifyOp) -> Option<CollectiveOp> {
-    match op {
-        VerifyOp::Broadcast { .. } => Some(CollectiveOp::Broadcast),
-        VerifyOp::Reduce { .. } => Some(CollectiveOp::CombineToOne),
-        VerifyOp::AllReduce => Some(CollectiveOp::CombineToAll),
-        VerifyOp::ReduceScatter => Some(CollectiveOp::DistributedCombine),
-        VerifyOp::Collect => Some(CollectiveOp::Collect),
-        VerifyOp::Scatter { .. } => Some(CollectiveOp::Scatter),
-        VerifyOp::Gather { .. } => Some(CollectiveOp::Gather),
-        VerifyOp::Alltoall | VerifyOp::PipelinedBcast { .. } => None,
-    }
-}
-
-/// The cost model prices stages by the collective's *total* vector
-/// length; `intercom-verify`'s `n` is the per-member block length for
-/// the block-wise collectives. This converts the latter to the former.
-pub fn cost_vector_len(op: &VerifyOp, p: usize, n: usize) -> usize {
-    match op {
-        VerifyOp::ReduceScatter
-        | VerifyOp::Collect
-        | VerifyOp::Scatter { .. }
-        | VerifyOp::Gather { .. }
-        | VerifyOp::Alltoall => p * n,
-        VerifyOp::Broadcast { .. } | VerifyOp::Reduce { .. } => n,
-        VerifyOp::AllReduce | VerifyOp::PipelinedBcast { .. } => n,
     }
 }
 
@@ -141,7 +110,7 @@ pub struct Recorded {
 /// Records one collective on the threaded runtime (wall-clock
 /// timestamps, per-rank ring capacity `capacity`).
 pub fn record_threads(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     p: usize,
     n: usize,
@@ -159,7 +128,7 @@ pub fn record_threads(
 /// Records one collective on the mesh simulator (virtual Paragon-model
 /// timestamps; every transfer lands on its source rank's timeline).
 pub fn record_sim(
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: Option<&Strategy>,
     mesh: Mesh2D,
     n: usize,
@@ -181,16 +150,16 @@ pub fn record_sim(
 
 /// Folds a recorded run against the cost model's per-stage predictions.
 /// `None` when the op has no cost-model counterpart ([`cost_op`]).
-/// `n` follows the [`VerifyOp`] convention; the conversion to the cost
+/// `n` follows the [`PlanOp`] convention; the conversion to the cost
 /// model's total vector length happens here.
 pub fn residual_report(
     rec: &Recorded,
-    op: &VerifyOp,
+    op: &PlanOp,
     strategy: &Strategy,
     machine: &MachineParams,
     n: usize,
 ) -> Option<ResidualReport> {
-    let cop = cost_op(op)?;
+    let cop = cost_op(*op)?;
     let ctx = CostContext::linear_with(machine);
     Some(analyze(
         &rec.run,
@@ -198,7 +167,7 @@ pub fn residual_report(
         strategy,
         ctx,
         machine,
-        cost_vector_len(op, rec.run.p(), n),
+        op.vector_len(rec.run.p(), n),
     ))
 }
 
@@ -210,7 +179,7 @@ mod tests {
     fn threads_and_sim_move_the_same_bytes() {
         let p = 4;
         let n = 64;
-        let op = VerifyOp::Broadcast { root: 0 };
+        let op = PlanOp::Broadcast { root: 0 };
         let st = Strategy::pure_mst(p);
         let threads = record_threads(&op, Some(&st), p, n, 1024);
         let sim = record_sim(
@@ -231,7 +200,7 @@ mod tests {
     fn residual_report_covers_sim_stages() {
         let p = 9;
         let n = 900;
-        let op = VerifyOp::Collect;
+        let op = PlanOp::Collect;
         let st = Strategy::pure_long(p);
         let machine = MachineParams::PARAGON_MODEL;
         let rec = record_sim(&op, Some(&st), Mesh2D::new(1, p), n, machine);

@@ -9,14 +9,20 @@
 //! meaningful bar: any leader-plane indexing slip, tag collision
 //! between stages, or node-major block permutation bug shows up as a
 //! differing word, not a tolerance failure.
+//!
+//! The same bar holds between a cluster communicator's one-shot
+//! [`Algo::Auto`](intercom::Algo::Auto) calls and its persistent plans,
+//! which must compile exactly what the one-shot call selects.
 
 use intercom::comm::GroupComm;
+use intercom::ir::CollectiveProgram;
+use intercom::plan::{AllreducePlan, BcastPlan, CollectPlan, ReducePlan, ReduceScatterPlan};
 use intercom::{
     algorithms, hier_allreduce, hier_broadcast, hier_collect, hier_reduce, hier_reduce_scatter,
-    Comm, ReduceOp, CALL_TAG_STRIDE,
+    Comm, Communicator, ReduceOp, CALL_TAG_STRIDE,
 };
 use intercom_cost::{
-    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierMachine,
+    best_strategy, select_hier, ClusterShape, CollectiveOp, CostContext, HierChoice, HierMachine,
 };
 use intercom_meshsim::{simulate, SimConfig};
 use intercom_runtime::run_world;
@@ -47,6 +53,25 @@ fn shapes() -> [ClusterShape; 4] {
             ranks_per_node: 2,
         },
     ]
+}
+
+/// The cluster shapes of the benchmark's `cluster-sim` workload.
+fn bench_shapes() -> [ClusterShape; 3] {
+    [
+        ClusterShape::linear(4, 4),
+        ClusterShape {
+            inter_rows: 2,
+            inter_cols: 2,
+            ranks_per_node: 4,
+        },
+        ClusterShape::linear(8, 2),
+    ]
+}
+
+/// `(n, b)` for a call of `bytes` payload bytes on `p` ranks: vector
+/// length and per-member block length in `u64` words.
+fn words(bytes: usize, p: usize) -> (usize, usize) {
+    (bytes / 8, (bytes / 8 / p).max(1))
 }
 
 /// Broadcast payload word `i`.
@@ -215,6 +240,100 @@ fn differential<C: Comm + ?Sized>(c: &C, shape: ClusterShape, n: usize, b: usize
     out
 }
 
+/// Runs all five collectives as one-shot [`Algo::Auto`] calls and as
+/// persistent plans on a cluster communicator, and returns
+/// `(label, one-shot, planned)` per call in [`differential`]'s order.
+/// Panics unless every plan's program carries the strategy or hybrid
+/// the one-shot call's `auto_choice` picks.
+///
+/// [`Algo::Auto`]: intercom::Algo::Auto
+fn plan_vs_one_shot<C: Comm + ?Sized>(
+    c: &C,
+    shape: ClusterShape,
+    machine: &HierMachine,
+    n: usize,
+    b: usize,
+) -> CallRows {
+    let inter = Mesh2D::new(shape.inter_rows, shape.inter_cols);
+    let cluster = Cluster::new(inter, shape.ranks_per_node);
+    let cc = Communicator::world_on_cluster(c, machine.clone(), &cluster).unwrap();
+    let p = cc.size();
+    let me = cc.rank();
+    let selected = |prog: &CollectiveProgram, op: CollectiveOp, bytes: usize| {
+        let want = match cc.auto_choice(op, bytes) {
+            HierChoice::Flat(s) => (Some(s), None),
+            HierChoice::Hier(h) => (None, Some(h)),
+        };
+        assert_eq!(
+            (prog.strategy.clone(), prog.hier.clone()),
+            want,
+            "{op:?} plan at {bytes} B on {shape}"
+        );
+    };
+    let mut out = Vec::new();
+
+    let root = p - 1;
+    let init: Vec<u64> = if me == root {
+        (0..n).map(bcast_word).collect()
+    } else {
+        vec![0; n]
+    };
+    let mut one = init.clone();
+    cc.bcast(root, &mut one).unwrap();
+    let plan = BcastPlan::new(&cc, root, n);
+    selected(plan.program().unwrap(), CollectiveOp::Broadcast, n * 8);
+    let mut planned = init;
+    plan.execute(&cc, &mut planned).unwrap();
+    out.push(("broadcast", one, planned));
+
+    let init: Vec<u64> = (0..n).map(|i| contrib_word(me, i)).collect();
+    let mut one = init.clone();
+    cc.reduce(0, &mut one, ReduceOp::Sum).unwrap();
+    let plan = ReducePlan::new(&cc, 0, n, ReduceOp::Sum);
+    selected(plan.program().unwrap(), CollectiveOp::CombineToOne, n * 8);
+    let mut planned = init;
+    plan.execute(&cc, &mut planned).unwrap();
+    if me != 0 {
+        one.clear();
+        planned.clear();
+    }
+    out.push(("reduce", one, planned));
+
+    let init: Vec<u64> = (0..n).map(|i| contrib_word(me, i)).collect();
+    let mut one = init.clone();
+    cc.allreduce(&mut one, ReduceOp::Sum).unwrap();
+    let plan = AllreducePlan::new(&cc, n, ReduceOp::Sum);
+    selected(plan.program().unwrap(), CollectiveOp::CombineToAll, n * 8);
+    let mut planned = init;
+    plan.execute(&cc, &mut planned).unwrap();
+    out.push(("allreduce", one, planned));
+
+    let mine: Vec<u64> = (0..b).map(|i| contrib_word(me, i)).collect();
+    let mut one = vec![0u64; p * b];
+    cc.allgather(&mine, &mut one).unwrap();
+    let plan = CollectPlan::new(&cc, b);
+    selected(plan.program().unwrap(), CollectiveOp::Collect, p * b * 8);
+    let mut planned = vec![0u64; p * b];
+    plan.execute(&cc, &mine, &mut planned).unwrap();
+    out.push(("collect", one, planned));
+
+    let contrib: Vec<u64> = (0..p * b).map(|k| rs_word(me, k / b, k % b)).collect();
+    let mut one = vec![0u64; b];
+    cc.reduce_scatter(&contrib, &mut one, ReduceOp::Sum)
+        .unwrap();
+    let plan = ReduceScatterPlan::new(&cc, b, ReduceOp::Sum);
+    selected(
+        plan.program().unwrap(),
+        CollectiveOp::DistributedCombine,
+        p * b * 8,
+    );
+    let mut planned = vec![0u64; b];
+    plan.execute(&cc, &contrib, &mut planned).unwrap();
+    out.push(("reduce-scatter", one, planned));
+
+    out
+}
+
 /// Checks every rank's hier/flat pair for equality, and spot-checks the
 /// values themselves against independently computed expectations, so a
 /// bug shared by both paths cannot hide behind agreement.
@@ -282,6 +401,37 @@ fn hier_matches_flat_on_the_mesh_simulator() {
             let cfg = SimConfig::cluster(cluster, &machine);
             let rep = simulate(&cfg, move |c| differential(c, shape, n, b));
             check(&rep.results, shape, n, b);
+        }
+    }
+}
+
+#[test]
+fn plans_match_one_shot_calls_on_the_threaded_runtime() {
+    for shape in bench_shapes() {
+        for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+            for bytes in [64, 256 << 10] {
+                let (n, b) = words(bytes, shape.ranks());
+                let out = run_world(shape.ranks(), |c| {
+                    plan_vs_one_shot(c, shape, &machine, n, b)
+                });
+                check(&out, shape, n, b);
+            }
+        }
+    }
+}
+
+#[test]
+fn plans_match_one_shot_calls_on_the_mesh_simulator() {
+    for shape in bench_shapes() {
+        let inter = Mesh2D::new(shape.inter_rows, shape.inter_cols);
+        let cluster = Cluster::new(inter, shape.ranks_per_node);
+        for machine in [HierMachine::paragon_cluster(), HierMachine::delta_cluster()] {
+            for bytes in [64, 256 << 10] {
+                let (n, b) = words(bytes, shape.ranks());
+                let cfg = SimConfig::cluster(cluster, &machine);
+                let rep = simulate(&cfg, |c| plan_vs_one_shot(c, shape, &machine, n, b));
+                check(&rep.results, shape, n, b);
+            }
         }
     }
 }
