@@ -24,6 +24,10 @@
 //! * **enabled** — `run_world_recorded`: full event + counter
 //!   recording, reported for information (not gated).
 //!
+//! Every configuration is timed in pairs with a baseline run of its
+//! own, and each ratio reported (and gated) is the median of the
+//! per-pair ratios.
+//!
 //! Run: `cargo run --release -p intercom-bench --bin obs`
 //! (append `-- --smoke` for the shorter CI gate mode).
 //! Emits `BENCH_obs.json` in the current directory.
@@ -113,31 +117,54 @@ fn json_num(x: f64) -> String {
     }
 }
 
+/// The median of `v` (upper median for even lengths).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (repeats, iters) = if smoke { (5, 400) } else { (9, 1500) };
+    let iters = if smoke { 400 } else { 1500 };
+    // The two gated modes (slots 1 and 2) get 81 pairs; the
+    // informational ones need no gate-grade precision.
+    let (rounds, info_rounds) = (81, 9);
 
-    // Interleave the modes across repeats instead of running each
-    // mode's block back to back: a thermal or scheduler drift then
-    // biases all five equally instead of penalizing whichever ran
-    // last.
-    let mut best = [f64::INFINITY; MODES.len()];
-    for _ in 0..repeats {
-        for (slot, mode) in MODES.into_iter().enumerate() {
-            best[slot] = best[slot].min(run_once(mode, iters));
+    // Every round times each mode in a pair with a baseline run of its
+    // own, the order within the pair alternating between rounds, and
+    // the gate reads the median of the per-pair ratios. Host noise
+    // longer than one pair then shifts both halves alike, and a burst
+    // inside a pair spoils that pair's ratio only.
+    let mut ratios: [Vec<f64>; MODES.len()] = Default::default();
+    let mut secs: [Vec<f64>; MODES.len()] = Default::default();
+    for round in 0..rounds {
+        for slot in 1..MODES.len() {
+            if slot > 2 && round >= info_rounds {
+                continue;
+            }
+            let (base, other) = if round % 2 == 0 {
+                let base = run_once(Mode::Baseline, iters);
+                (base, run_once(MODES[slot], iters))
+            } else {
+                let other = run_once(MODES[slot], iters);
+                (run_once(Mode::Baseline, iters), other)
+            };
+            secs[0].push(base);
+            secs[slot].push(other);
+            ratios[slot].push(other / base);
         }
     }
-    let [baseline, disabled, metrics_off, metrics_on, enabled] = best;
-
-    let disabled_ratio = disabled / baseline;
-    let metrics_off_ratio = metrics_off / baseline;
-    let metrics_on_ratio = metrics_on / baseline;
-    let enabled_ratio = enabled / baseline;
+    let [disabled_ratio, metrics_off_ratio, metrics_on_ratio, enabled_ratio] =
+        [1, 2, 3, 4].map(|slot| median(std::mem::take(&mut ratios[slot])));
+    let [baseline, disabled, metrics_off, metrics_on, enabled] = secs.map(median);
     let pass = disabled_ratio <= GATE_MAX_RATIO && metrics_off_ratio <= GATE_MAX_RATIO;
 
     let mbs = |s: f64| (BYTES as f64 * iters as f64) / s / (1 << 20) as f64;
     let pct = |r: f64| (r - 1.0) * 100.0;
-    println!("observability overhead, {RANKS} ranks, 64 KiB planned broadcast, best of {repeats}x{iters}:");
+    println!(
+        "observability overhead, {RANKS} ranks, 64 KiB planned broadcast, \
+         median of {rounds} ({info_rounds} informational) paired runs of {iters}:"
+    );
     println!("  baseline (all off):       {:>8.1} MB/s", mbs(baseline));
     println!(
         "  disabled recorder:        {:>8.1} MB/s  ({:+.2}% vs baseline, gate <= +{:.0}%)",
@@ -164,7 +191,7 @@ fn main() -> ExitCode {
 
     let json = format!(
         "{{\n  \"ranks\": {RANKS},\n  \"bytes\": {BYTES},\n  \"iters\": {iters},\n  \
-         \"repeats\": {repeats},\n  \"smoke\": {smoke},\n  \
+         \"rounds\": {rounds},\n  \"informational_rounds\": {info_rounds},\n  \"smoke\": {smoke},\n  \
          \"baseline_secs\": {},\n  \"disabled_recorder_secs\": {},\n  \
          \"metrics_off_secs\": {},\n  \"metrics_on_secs\": {},\n  \
          \"enabled_recorder_secs\": {},\n  \"disabled_overhead_ratio\": {},\n  \

@@ -22,6 +22,7 @@ use crate::op::{Elem, ReduceOp};
 use crate::primitives::pipelined_ring_bcast;
 use crate::trace::{MemSpan, OpRecord, RecordingComm};
 use intercom_cost::{HierStrategy, Strategy};
+use std::collections::BTreeMap;
 
 /// Scratch-arena alignment: every temporary cluster starts on a 16-byte
 /// boundary, a multiple of every supported element size.
@@ -269,54 +270,47 @@ fn resolve_recorded<T: Elem>(
 
 /// Resolves one rank's recorded spans into a [`RankProgram`].
 fn resolve_rank(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -> RankProgram {
-    let arena = Arena::build(ops, args);
-    let resolve = |span: MemSpan| arena.resolve(span, args, elem);
+    let arena = Arena::build(ops, args, elem);
     let mut steps = Vec::with_capacity(ops.len());
     let mut stage = StageId::default();
-    for op in ops {
+    // Each op's locations, in the order [`touched`] lists its spans.
+    for (op, &[l0, l1]) in ops.iter().zip(&arena.locs) {
         let kind = match *op {
-            OpRecord::Send { to, tag, src } => {
+            OpRecord::Send { to, tag, .. } => {
                 stage = stage_of(tag);
                 StepKind::Send {
                     to,
                     tag_off: tag,
-                    src: resolve(src),
+                    src: l0,
                 }
             }
-            OpRecord::Recv { from, tag, dst } => {
+            OpRecord::Recv { from, tag, .. } => {
                 stage = stage_of(tag);
                 StepKind::Recv {
                     from,
                     tag_off: tag,
-                    dst: resolve(dst),
+                    dst: l0,
                 }
             }
             OpRecord::SendRecv {
                 to,
-                src,
                 from,
-                dst,
                 tag,
                 rtag,
+                ..
             } => {
                 stage = stage_of(tag);
                 StepKind::SendRecv {
                     to,
-                    src: resolve(src),
+                    src: l0,
                     from,
-                    dst: resolve(dst),
+                    dst: l1,
                     tag_off: tag,
                     rtag_off: rtag,
                 }
             }
-            OpRecord::Copy { src, dst } => StepKind::Copy {
-                src: resolve(src),
-                dst: resolve(dst),
-            },
-            OpRecord::Reduce { acc, other } => StepKind::Reduce {
-                acc: resolve(acc),
-                other: resolve(other),
-            },
+            OpRecord::Copy { .. } => StepKind::Copy { src: l0, dst: l1 },
+            OpRecord::Reduce { .. } => StepKind::Reduce { other: l0, acc: l1 },
             OpRecord::Compute { bytes } => StepKind::Compute { bytes },
             OpRecord::CallOverhead => StepKind::CallOverhead,
         };
@@ -335,97 +329,206 @@ pub(super) fn stage_of(tag: Tag) -> StageId {
     }
 }
 
-/// The scratch arena layout of one rank: recorded temporary spans,
-/// clustered by byte overlap and packed with aligned bases.
+/// How an op touches one of its spans.
+#[derive(Clone, Copy, PartialEq)]
+enum Access {
+    Read,
+    Write,
+    /// Read, then overwritten (a reduction's accumulator).
+    Update,
+}
+
+/// The spans `op` touches, in a fixed order: what it reads before what
+/// it writes.
+fn touched(op: &OpRecord) -> [Option<(MemSpan, Access)>; 2] {
+    match *op {
+        OpRecord::Send { src, .. } => [Some((src, Access::Read)), None],
+        OpRecord::Recv { dst, .. } => [Some((dst, Access::Write)), None],
+        OpRecord::SendRecv { src, dst, .. } | OpRecord::Copy { src, dst } => {
+            [Some((src, Access::Read)), Some((dst, Access::Write))]
+        }
+        OpRecord::Reduce { acc, other } => {
+            [Some((other, Access::Read)), Some((acc, Access::Update))]
+        }
+        OpRecord::Compute { .. } | OpRecord::CallOverhead => [None, None],
+    }
+}
+
+/// A group of temporary spans linked by data flow (see [`Arena`]).
+struct Group {
+    /// Address extent of the group's spans.
+    start: usize,
+    end: usize,
+    /// Index of the first and last op touching the group.
+    first_op: usize,
+    last_op: usize,
+    /// Arena offset of `start`.
+    off: usize,
+}
+
+/// The scratch arena layout of one rank.
+///
+/// Temporary spans are grouped by data flow: a span that reads bytes
+/// joins the group of the spans that last wrote them. Every group is a
+/// region of one temporary allocation, so spans keep their relative
+/// addresses within it. Groups are packed with aligned bases in the
+/// order the op stream first touches them, each at the lowest offset
+/// clear of the groups still live at its first op. Neither step looks
+/// at where the allocator placed one temporary relative to another, so
+/// the layout is a function of the op stream alone.
 struct Arena {
-    /// `(start_addr, end_addr, arena_offset)` per cluster, sorted.
-    clusters: Vec<(usize, usize, usize)>,
+    /// Per op, the locations of the spans [`touched`] lists.
+    locs: Vec<[Loc; 2]>,
     total_bytes: usize,
 }
 
 impl Arena {
-    fn build(ops: &[OpRecord], args: &[(usize, usize, usize)]) -> Arena {
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        let mut note = |s: &MemSpan| {
-            if s.len > 0 && in_arg(s, args).is_none() {
-                spans.push((s.addr, s.addr + s.len));
-            }
+    fn build(ops: &[OpRecord], args: &[(usize, usize, usize)], elem: usize) -> Arena {
+        const EMPTY: Loc = Loc {
+            buf: Buf::Scratch,
+            off: 0,
+            len: 0,
         };
-        for op in ops {
-            match op {
-                OpRecord::Send { src, .. } => note(src),
-                OpRecord::Recv { dst, .. } => note(dst),
-                OpRecord::SendRecv { src, dst, .. } => {
-                    note(src);
-                    note(dst);
+        let mut locs = vec![[EMPTY; 2]; ops.len()];
+        // Temporary spans in touch order, as `(op, slot, span)`, with a
+        // union-find forest over them.
+        let mut temps: Vec<(usize, usize, MemSpan)> = Vec::new();
+        let mut parent: Vec<usize> = Vec::new();
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        // Disjoint byte ranges `start -> (end, temp)`: who wrote them last.
+        let mut writer: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+        let mut overlapping: Vec<(usize, usize, usize)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            for (slot, touch) in touched(op).into_iter().enumerate() {
+                let Some((span, access)) = touch else {
+                    continue;
+                };
+                if span.len == 0 {
+                    // Canonical empty location: zero-length ring blocks
+                    // from uneven partitions carry no data.
+                    continue;
                 }
-                OpRecord::Copy { src, dst } => {
-                    note(src);
-                    note(dst);
+                if let Some((arg, base)) = in_arg(&span, args) {
+                    locs[i][slot] = Loc {
+                        buf: Buf::Arg(arg),
+                        off: span.addr - base,
+                        len: span.len,
+                    };
+                    continue;
                 }
-                OpRecord::Reduce { acc, other } => {
-                    note(acc);
-                    note(other);
+                let id = temps.len();
+                temps.push((i, slot, span));
+                parent.push(id);
+                let (start, end) = (span.addr, span.addr + span.len);
+                overlapping.clear();
+                overlapping.extend(
+                    writer
+                        .range(..end)
+                        .rev()
+                        .take_while(|(_, &(e, _))| e > start)
+                        .map(|(&s, &(e, w))| (s, e, w)),
+                );
+                if access != Access::Write {
+                    // Lowered algorithms write every temporary byte
+                    // before reading it, which is what lets a group
+                    // reuse a dead group's bytes below.
+                    debug_assert_eq!(
+                        overlapping
+                            .iter()
+                            .map(|&(s, e, _)| e.min(end) - s.max(start))
+                            .sum::<usize>(),
+                        span.len,
+                        "temporary read before it was written"
+                    );
+                    for &(_, _, w) in &overlapping {
+                        let (a, b) = (root(&mut parent, id), root(&mut parent, w));
+                        parent[a.max(b)] = a.min(b);
+                    }
                 }
-                OpRecord::Compute { .. } | OpRecord::CallOverhead => {}
+                if access != Access::Read {
+                    for &(s, e, w) in &overlapping {
+                        writer.remove(&s);
+                        if s < start {
+                            writer.insert(s, (start, w));
+                        }
+                        if e > end {
+                            writer.insert(end, (e, w));
+                        }
+                    }
+                    writer.insert(start, (end, id));
+                }
             }
         }
-        spans.sort_unstable();
-        // Merge strictly overlapping intervals: data only flows between
-        // spans sharing bytes, so non-overlapping temporaries are
-        // independent and may pack into separate arena regions.
-        let mut clusters: Vec<(usize, usize, usize)> = Vec::new();
+        // Groups in first-touch order: union by smaller index keeps each
+        // root its group's first-touched span, so ascending roots are
+        // first-touch order. `group_of[root]` indexes `groups`.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut group_of = vec![usize::MAX; temps.len()];
+        for (id, &(i, _, span)) in temps.iter().enumerate() {
+            let r = root(&mut parent, id);
+            if group_of[r] == usize::MAX {
+                group_of[r] = groups.len();
+                groups.push(Group {
+                    start: span.addr,
+                    end: span.addr,
+                    first_op: i,
+                    last_op: i,
+                    off: 0,
+                });
+            }
+            let g = &mut groups[group_of[r]];
+            g.start = g.start.min(span.addr);
+            g.end = g.end.max(span.addr + span.len);
+            g.last_op = i;
+        }
+        // Pack in first-touch order, each group at the lowest offset
+        // clear of the groups still live at its first op.
         let mut total = 0usize;
-        for (start, end) in spans {
-            match clusters.last_mut() {
-                Some((_, ce, _)) if start < *ce => *ce = (*ce).max(end),
-                _ => clusters.push((start, end, 0)),
+        let mut live: Vec<(usize, usize)> = Vec::new();
+        for k in 0..groups.len() {
+            let (len, first_op) = (groups[k].end - groups[k].start, groups[k].first_op);
+            live.clear();
+            live.extend(
+                groups[..k]
+                    .iter()
+                    .filter(|g| g.last_op >= first_op)
+                    .map(|g| (g.off, g.off + g.end - g.start)),
+            );
+            live.sort_unstable();
+            let mut off = 0;
+            for &(o, e) in &live {
+                if off + len <= o {
+                    break;
+                }
+                off = off.max(e.next_multiple_of(ARENA_ALIGN));
             }
+            groups[k].off = off;
+            total = total.max(off + len);
         }
-        for c in &mut clusters {
-            total = total.next_multiple_of(ARENA_ALIGN);
-            c.2 = total;
-            total += c.1 - c.0;
-        }
-        Arena {
-            clusters,
-            total_bytes: total,
-        }
-    }
-
-    fn resolve(&self, span: MemSpan, args: &[(usize, usize, usize)], elem: usize) -> Loc {
-        if span.len == 0 {
-            // Canonical empty location: zero-length ring blocks from
-            // uneven partitions carry no data.
-            return Loc {
+        for (id, &(i, slot, span)) in temps.iter().enumerate() {
+            let g = &groups[group_of[root(&mut parent, id)]];
+            locs[i][slot] = Loc {
                 buf: Buf::Scratch,
-                off: 0,
-                len: 0,
+                off: g.off + (span.addr - g.start),
+                len: span.len,
             };
         }
-        let loc = if let Some((slot, base)) = in_arg(&span, args) {
-            Loc {
-                buf: Buf::Arg(slot),
-                off: span.addr - base,
-                len: span.len,
-            }
-        } else {
-            let (cs, _, off) = *self
-                .clusters
-                .iter()
-                .find(|(cs, ce, _)| span.addr >= *cs && span.addr + span.len <= *ce)
-                .expect("recorded span lies in a scratch cluster");
-            Loc {
-                buf: Buf::Scratch,
-                off: off + (span.addr - cs),
-                len: span.len,
-            }
-        };
-        debug_assert!(
-            loc.off % elem == 0 && loc.len % elem == 0,
-            "span not element-aligned"
-        );
-        loc
+        for loc in locs.iter().flatten() {
+            debug_assert!(
+                loc.off % elem == 0 && loc.len % elem == 0,
+                "span not element-aligned"
+            );
+        }
+        Arena {
+            locs,
+            total_bytes: total,
+        }
     }
 }
 
@@ -440,6 +543,7 @@ fn in_arg(span: &MemSpan, args: &[(usize, usize, usize)]) -> Option<(usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::{OptLevel, PlanCache, PlanKey};
 
     #[test]
     fn mst_broadcast_lowers_to_arg_only_steps() {
@@ -558,6 +662,105 @@ mod tests {
         assert!(prog.comm_steps() > 0, "barrier-style allreduce still syncs");
         for rp in &prog.ranks {
             assert_eq!(rp.scratch_bytes, 0);
+        }
+    }
+
+    /// A spread of flat and hierarchical keys whose lowerings use
+    /// temporaries: every strategy-taking op under MST, SC and 2-D
+    /// hybrids at uneven lengths, plus hierarchical programs.
+    fn layout_keys() -> Vec<PlanKey> {
+        use intercom_cost::{select_hier, ClusterShape, CollectiveOp, HierMachine, StrategyKind};
+        let mut keys = Vec::new();
+        let ops = [
+            PlanOp::Broadcast { root: 1 },
+            PlanOp::Reduce { root: 2 },
+            PlanOp::AllReduce,
+            PlanOp::ReduceScatter,
+            PlanOp::Collect,
+        ];
+        for (p, dims) in [(6, vec![2, 3]), (8, vec![2, 2, 2]), (9, vec![3, 3])] {
+            for kind in [StrategyKind::Mst, StrategyKind::ScatterCollect] {
+                for st in [
+                    Strategy::new(vec![p], kind),
+                    Strategy::new(dims.clone(), kind),
+                ] {
+                    for op in ops {
+                        for (n, elem_size) in [(5, 8), (37, 4), (1000, 1)] {
+                            for opt in [OptLevel::None, OptLevel::Full] {
+                                keys.push(PlanKey {
+                                    op,
+                                    p,
+                                    n,
+                                    elem_size,
+                                    strategy: Some(st.clone()),
+                                    hier: None,
+                                    opt,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let shape = ClusterShape::linear(3, 4);
+        for (op, cost_op) in [
+            (PlanOp::AllReduce, CollectiveOp::CombineToAll),
+            (PlanOp::Collect, CollectiveOp::Collect),
+            (PlanOp::ReduceScatter, CollectiveOp::DistributedCombine),
+        ] {
+            for n in [6, 300] {
+                let hs = select_hier(cost_op, shape, n * 8, &HierMachine::paragon_cluster());
+                keys.push(PlanKey {
+                    op,
+                    p: shape.ranks(),
+                    n,
+                    elem_size: 8,
+                    strategy: None,
+                    hier: hs,
+                    opt: OptLevel::Full,
+                });
+            }
+        }
+        keys
+    }
+
+    fn compile(key: &PlanKey) -> CollectiveProgram {
+        let prog = PlanCache::new().get_or_compile(key).unwrap();
+        CollectiveProgram {
+            plan_id: 0,
+            ..(*prog).clone()
+        }
+    }
+
+    #[test]
+    fn layout_is_a_function_of_the_key() {
+        let keys = layout_keys();
+        let first: Vec<CollectiveProgram> = keys.iter().map(compile).collect();
+        // Perturb the heap: live blocks of assorted sizes with holes
+        // between them, so the second lowering's temporaries land at
+        // other addresses in another order.
+        let mut held: Vec<Vec<u8>> = (1..400)
+            .map(|i| vec![i as u8; (i * 37) % 3000 + 1])
+            .collect();
+        let mut i = 0;
+        held.retain(|_| {
+            i += 1;
+            i % 3 != 0
+        });
+        for (key, want) in keys.iter().zip(&first) {
+            assert_eq!(&compile(key), want, "relowering {key:?} changed its layout");
+        }
+        drop(held);
+        let other = std::thread::scope(|s| {
+            s.spawn(|| keys.iter().map(compile).collect::<Vec<_>>())
+                .join()
+                .unwrap()
+        });
+        for ((key, want), got) in keys.iter().zip(&first).zip(&other) {
+            assert_eq!(
+                got, want,
+                "lowering {key:?} on another thread changed its layout"
+            );
         }
     }
 }

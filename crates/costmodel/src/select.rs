@@ -6,12 +6,30 @@
 //! length and machine parameters and take the cheapest — the approach the
 //! library uses at run time once "good short and long vector primitives
 //! are provided as well as an accurate model for their expense" (§7.1).
+//!
+//! ## The strategy catalogue
+//!
+//! A strategy's [`CostExpr`] depends only on the op, the strategy and
+//! the [`CostContext`] (conflict model and link excess), never on α, β,
+//! γ or δ. So each enumeration space is enumerated and priced once per
+//! process into a shared catalogue keyed by `(op, space, conflict
+//! model, link excess)`; a selection call only evaluates the cached
+//! forms at the call's `n` with the caller's live parameters, in
+//! enumeration order with the first minimum winning — exactly the
+//! choice a fresh enumerate-and-price pass makes. A drift refit
+//! ([`MachineParams::refit`]) changes only α and β, so it adds no
+//! entries and invalidates none. The key space is bounded by the
+//! distinct shapes and link excesses a process selects for, and an
+//! entry lives as long as the thread that priced it.
 
 use crate::collective::{hybrid_cost, CollectiveOp, CostContext};
 use crate::enumerate::{enumerate_mesh_strategies, enumerate_strategies};
 use crate::expr::CostExpr;
 use crate::machine::MachineParams;
-use crate::strategy::Strategy;
+use crate::strategy::{ConflictModel, Strategy};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A strategy with its cost expression and evaluated time.
 #[derive(Debug, Clone)]
@@ -24,8 +42,108 @@ pub struct RankedStrategy {
     pub time: f64,
 }
 
+/// The enumeration space a catalogue entry prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Space {
+    /// [`enumerate_strategies`] over `p` linear-array nodes.
+    Linear(usize),
+    /// [`enumerate_mesh_strategies`] over a `rows × cols` mesh.
+    Mesh(usize, usize),
+}
+
+type CatalogueKey = (CollectiveOp, Space, ConflictModel, u64);
+type Priced = Arc<[(Strategy, CostExpr)]>;
+
+/// The process-wide catalogue. A panic while pricing inserts nothing
+/// and removals leave the map whole, so a poisoned lock still guards a
+/// valid map.
+fn shared() -> &'static RwLock<HashMap<CatalogueKey, Priced>> {
+    static CATALOGUE: OnceLock<RwLock<HashMap<CatalogueKey, Priced>>> = OnceLock::new();
+    CATALOGUE.get_or_init(Default::default)
+}
+
+/// The catalogue keys the current thread priced. Their entries leave
+/// the catalogue when the thread exits, so a short-lived worker leaves
+/// no allocation behind in its allocator arena: on glibc one such
+/// leftover made every later world's set-up page-fault its large
+/// buffers afresh (about 50% more faults and set-up time).
+struct PricedHere(Vec<CatalogueKey>);
+
+impl Drop for PricedHere {
+    fn drop(&mut self) {
+        let mut map = shared().write().unwrap_or_else(|e| e.into_inner());
+        for key in &self.0 {
+            map.remove(key);
+        }
+        if map.is_empty() {
+            map.shrink_to_fit();
+        }
+    }
+}
+
+thread_local! {
+    static PRICED_HERE: RefCell<PricedHere> = const { RefCell::new(PricedHere(Vec::new())) };
+}
+
+/// Every strategy of `space` with its cost form for `op` under `ctx`,
+/// in enumeration order; enumerated and priced on the first request.
+fn catalogue(op: CollectiveOp, space: Space, ctx: CostContext) -> Priced {
+    let key = (op, space, ctx.model, ctx.link_excess.to_bits());
+    if let Some(priced) = shared().read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        return priced.clone();
+    }
+    let price = || -> Priced {
+        let strategies = match space {
+            Space::Linear(p) => enumerate_strategies(p, 0),
+            Space::Mesh(rows, cols) => enumerate_mesh_strategies(rows, cols, 0),
+        };
+        strategies
+            .into_iter()
+            .map(|s| {
+                let cost = hybrid_cost(op, &s, ctx);
+                (s, cost)
+            })
+            .collect()
+    };
+    // Price under the write lock, so ranks that miss together wait for
+    // one pass instead of each repeating it. A thread already tearing
+    // down its thread-locals prices without sharing.
+    PRICED_HERE
+        .try_with(|here| {
+            let mut map = shared().write().unwrap_or_else(|e| e.into_inner());
+            map.entry(key)
+                .or_insert_with(|| {
+                    here.borrow_mut().0.push(key);
+                    price()
+                })
+                .clone()
+        })
+        .unwrap_or_else(|_| price())
+}
+
+/// The first entry of `priced` that no later entry beats under
+/// `better`, evaluated at `n` bytes on `machine`.
+fn first_min(
+    priced: &[(Strategy, CostExpr)],
+    n: usize,
+    machine: &MachineParams,
+    better: impl Fn(f64, f64) -> bool,
+) -> Strategy {
+    let mut best: Option<(f64, &Strategy)> = None;
+    for (s, cost) in priced {
+        let t = cost.eval(n, machine);
+        if best.is_none_or(|(bt, _)| better(t, bt)) {
+            best = Some((t, s));
+        }
+    }
+    best.expect("every enumeration holds at least one strategy")
+        .1
+        .clone()
+}
+
 /// Ranks every strategy for `op` on `p` linear-array nodes at message
-/// length `n` bytes, cheapest first. `max_dims = 0` means unlimited.
+/// length `n` bytes, cheapest first (ties in enumeration order).
+/// `max_dims = 0` means unlimited.
 pub fn rank_strategies(
     op: CollectiveOp,
     p: usize,
@@ -34,23 +152,32 @@ pub fn rank_strategies(
     ctx: CostContext,
     max_dims: usize,
 ) -> Vec<RankedStrategy> {
-    let mut ranked: Vec<RankedStrategy> = enumerate_strategies(p, max_dims)
-        .into_iter()
-        .map(|s| {
-            let cost = hybrid_cost(op, &s, ctx);
-            let time = cost.eval(n, machine);
-            RankedStrategy {
-                strategy: s,
-                cost,
-                time,
-            }
-        })
-        .collect();
+    let ranked = |(strategy, cost): (Strategy, CostExpr)| RankedStrategy {
+        time: cost.eval(n, machine),
+        strategy,
+        cost,
+    };
+    let mut ranked: Vec<RankedStrategy> = if max_dims == 0 {
+        catalogue(op, Space::Linear(p), ctx)
+            .iter()
+            .cloned()
+            .map(ranked)
+            .collect()
+    } else {
+        enumerate_strategies(p, max_dims)
+            .into_iter()
+            .map(|s| {
+                let cost = hybrid_cost(op, &s, ctx);
+                ranked((s, cost))
+            })
+            .collect()
+    };
     ranked.sort_by(|a, b| a.time.total_cmp(&b.time));
     ranked
 }
 
-/// The cheapest strategy for `op` on `p` linear-array nodes at `n` bytes.
+/// The cheapest strategy for `op` on `p` linear-array nodes at `n`
+/// bytes: the head of [`rank_strategies`], without the sort.
 pub fn best_strategy(
     op: CollectiveOp,
     p: usize,
@@ -58,11 +185,12 @@ pub fn best_strategy(
     machine: &MachineParams,
     ctx: CostContext,
 ) -> Strategy {
-    rank_strategies(op, p, n, machine, ctx, 0)
-        .into_iter()
-        .next()
-        .expect("at least the trivial strategy exists")
-        .strategy
+    first_min(
+        &catalogue(op, Space::Linear(p), ctx),
+        n,
+        machine,
+        |t, bt| t.total_cmp(&bt).is_lt(),
+    )
 }
 
 /// The cheapest mesh-aware strategy for `op` on an `rows × cols` physical
@@ -76,14 +204,12 @@ pub fn best_mesh_strategy(
     machine: &MachineParams,
 ) -> Strategy {
     let ctx = CostContext::mesh_with(machine);
-    let mut best: Option<(f64, Strategy)> = None;
-    for s in enumerate_mesh_strategies(rows, cols, 0) {
-        let t = hybrid_cost(op, &s, ctx).eval(n, machine);
-        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-            best = Some((t, s));
-        }
-    }
-    best.expect("at least one mesh strategy exists").1
+    first_min(
+        &catalogue(op, Space::Mesh(rows, cols), ctx),
+        n,
+        machine,
+        |t, bt| t < bt,
+    )
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@ use intercom::BufferPool;
 use intercom_cost::{HierMachine, MachineParams};
 use intercom_obs::Trace;
 use intercom_topology::{Cluster, Hypercube, Mesh2D, Torus2D};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
@@ -162,16 +165,24 @@ where
     }
     drop(req_tx);
     let f = &f;
+    // Every rank panic draws a ticket, in the order the panics happen:
+    // the earliest is the cause, later ones (and an engine deadlock the
+    // panic left behind) are consequences.
+    let panics = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, comm) in endpoints.into_iter().enumerate() {
             let builder = std::thread::Builder::new()
                 .name(format!("sim-rank-{rank}"))
                 .stack_size(1024 * 1024);
+            let panics = &panics;
             handles.push(
                 builder
                     .spawn_scoped(scope, move || {
-                        let out = f(&comm);
+                        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&comm)))
+                            .map_err(|e| (panics.fetch_add(1, Ordering::SeqCst), e));
+                        // The engine learns the rank is gone only after
+                        // its ticket is drawn.
                         comm.finish();
                         out
                     })
@@ -180,7 +191,7 @@ where
         }
         // Engine loop: consume requests while any rank can still run;
         // advance virtual time when everyone is blocked.
-        loop {
+        let engine_run = panic::catch_unwind(AssertUnwindSafe(|| loop {
             for (rank, reply) in engine.drain_replies() {
                 // A send failure means the rank thread died; its requests
                 // simply stop arriving and the join below reports it.
@@ -197,22 +208,32 @@ where
                 Ok((rank, req)) => engine.handle(rank, req),
                 Err(_) => break, // all rank threads gone
             }
-        }
-        let results: Vec<T> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(v) => v,
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("simulated rank {rank} panicked: {msg}");
+        }));
+        let causes = panics.load(Ordering::SeqCst);
+        // Closing the reply channels releases every rank still blocked
+        // on the engine (its call fails with `Disconnected`), so the
+        // joins below return even when the engine gave up.
+        drop(reply_txs);
+        let mut results = Vec::with_capacity(p);
+        let mut first_panic: Option<(usize, usize, Box<dyn Any + Send>)> = None;
+        for (rank, h) in handles.into_iter().enumerate() {
+            match h.join().expect("rank panics are caught on the rank thread") {
+                Ok(v) => results.push(v),
+                Err((ticket, e)) => {
+                    if first_panic.as_ref().is_none_or(|(t, ..)| ticket < *t) {
+                        first_panic = Some((ticket, rank, e));
+                    }
                 }
-            })
-            .collect();
+            }
+        }
+        match (first_panic, engine_run) {
+            // A rank panic that came before the engine failed caused it.
+            (Some((ticket, rank, e)), run) if run.is_ok() || ticket < causes => {
+                panic!("simulated rank {rank} panicked: {}", panic_message(&*e))
+            }
+            (_, Err(e)) => panic::resume_unwind(e),
+            (_, Ok(())) => {}
+        }
         let report = SimReport {
             results,
             elapsed: engine.elapsed(),
@@ -234,6 +255,14 @@ where
         }
         report
     })
+}
+
+/// The text of a panic payload.
+fn panic_message(e: &(dyn Any + Send)) -> &str {
+    e.downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| e.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
 }
 
 #[cfg(test)]
@@ -458,5 +487,38 @@ mod tests {
             }
             // Rank 0 must not block forever; just finish.
         });
+    }
+
+    #[test]
+    fn rank_panic_releases_a_blocked_peer() {
+        // Rank 0 waits on a message rank 1 never sends because it
+        // panicked. The engine's deadlock must release rank 0 and the
+        // run must surface rank 1's own panic, not hang: a watchdog
+        // fails the test instead.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let run = panic::catch_unwind(|| {
+                let cfg = SimConfig::new(Mesh2D::new(1, 2), unit());
+                simulate(&cfg, |c| {
+                    if c.rank() == 1 {
+                        panic!("sim boom");
+                    }
+                    let mut buf = [0u8; 4];
+                    c.recv(1, 0, &mut buf)
+                });
+            });
+            let _ = tx.send(run.err().map(|e| panic_message(&*e).to_string()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("simulate hung after a rank panic")
+            .expect("simulate returned normally despite a rank panic");
+        watched
+            .join()
+            .expect("the watched thread catches the panic");
+        assert!(
+            msg.starts_with("simulated rank 1 panicked: sim boom"),
+            "{msg}"
+        );
     }
 }
