@@ -26,7 +26,8 @@
 //!
 //! Every configuration is timed in pairs with a baseline run of its
 //! own, and each ratio reported (and gated) is the median of the
-//! per-pair ratios.
+//! per-pair ratios, with their quartiles; a mode's MB/s is the median
+//! baseline's divided by that ratio.
 //!
 //! Run: `cargo run --release -p intercom-bench --bin obs`
 //! (append `-- --smoke` for the shorter CI gate mode).
@@ -117,10 +118,10 @@ fn json_num(x: f64) -> String {
     }
 }
 
-/// The median of `v` (upper median for even lengths).
-fn median(mut v: Vec<f64>) -> f64 {
+/// The lower quartile, median and upper quartile of `v` (nearest rank).
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
     v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
+    [v.len() / 4, v.len() / 2, 3 * v.len() / 4].map(|i| v[i])
 }
 
 fn main() -> ExitCode {
@@ -134,9 +135,11 @@ fn main() -> ExitCode {
     // own, the order within the pair alternating between rounds, and
     // the gate reads the median of the per-pair ratios. Host noise
     // longer than one pair then shifts both halves alike, and a burst
-    // inside a pair spoils that pair's ratio only.
+    // inside a pair spoils that pair's ratio only. Only the paired
+    // ratios are reported: medians of unpaired runs mix in the noise
+    // the pairing cancels.
     let mut ratios: [Vec<f64>; MODES.len()] = Default::default();
-    let mut secs: [Vec<f64>; MODES.len()] = Default::default();
+    let mut baseline_secs = Vec::new();
     for round in 0..rounds {
         for slot in 1..MODES.len() {
             if slot > 2 && round >= info_rounds {
@@ -149,64 +152,57 @@ fn main() -> ExitCode {
                 let other = run_once(MODES[slot], iters);
                 (run_once(Mode::Baseline, iters), other)
             };
-            secs[0].push(base);
-            secs[slot].push(other);
+            baseline_secs.push(base);
             ratios[slot].push(other / base);
         }
     }
-    let [disabled_ratio, metrics_off_ratio, metrics_on_ratio, enabled_ratio] =
-        [1, 2, 3, 4].map(|slot| median(std::mem::take(&mut ratios[slot])));
-    let [baseline, disabled, metrics_off, metrics_on, enabled] = secs.map(median);
-    let pass = disabled_ratio <= GATE_MAX_RATIO && metrics_off_ratio <= GATE_MAX_RATIO;
+    let baseline = quartiles(baseline_secs)[1];
+    let [disabled, metrics_off, metrics_on, enabled] =
+        [1, 2, 3, 4].map(|slot| quartiles(std::mem::take(&mut ratios[slot])));
+    let pass = disabled[1] <= GATE_MAX_RATIO && metrics_off[1] <= GATE_MAX_RATIO;
 
-    let mbs = |s: f64| (BYTES as f64 * iters as f64) / s / (1 << 20) as f64;
+    // Each mode's throughput is the baseline's divided by its median
+    // paired ratio.
+    let mbs = |ratio: f64| (BYTES as f64 * iters as f64) / (baseline * ratio) / (1 << 20) as f64;
     let pct = |r: f64| (r - 1.0) * 100.0;
+    let line = |name: &str, q: [f64; 3], note: &str| {
+        println!(
+            "  {name:<25} {:>8.1} MB/s  ({:+.2}% vs baseline, quartiles {:+.2}%..{:+.2}%, {note})",
+            mbs(q[1]),
+            pct(q[1]),
+            pct(q[0]),
+            pct(q[2])
+        );
+    };
     println!(
         "observability overhead, {RANKS} ranks, 64 KiB planned broadcast, \
          median of {rounds} ({info_rounds} informational) paired runs of {iters}:"
     );
-    println!("  baseline (all off):       {:>8.1} MB/s", mbs(baseline));
-    println!(
-        "  disabled recorder:        {:>8.1} MB/s  ({:+.2}% vs baseline, gate <= +{:.0}%)",
-        mbs(disabled),
-        pct(disabled_ratio),
-        pct(GATE_MAX_RATIO)
-    );
-    println!(
-        "  metrics switch off:       {:>8.1} MB/s  ({:+.2}% vs baseline, gate <= +{:.0}%)",
-        mbs(metrics_off),
-        pct(metrics_off_ratio),
-        pct(GATE_MAX_RATIO)
-    );
-    println!(
-        "  metrics + flight on:      {:>8.1} MB/s  ({:+.2}% vs baseline, informational)",
-        mbs(metrics_on),
-        pct(metrics_on_ratio)
-    );
-    println!(
-        "  enabled recorder:         {:>8.1} MB/s  ({:+.2}% vs baseline, informational)",
-        mbs(enabled),
-        pct(enabled_ratio)
-    );
+    println!("  {:<25} {:>8.1} MB/s", "baseline (all off):", mbs(1.0));
+    let gate = format!("gate <= +{:.0}%", pct(GATE_MAX_RATIO));
+    line("disabled recorder:", disabled, &gate);
+    line("metrics switch off:", metrics_off, &gate);
+    line("metrics + flight on:", metrics_on, "informational");
+    line("enabled recorder:", enabled, "informational");
 
+    let ratio_json = |name: &str, q: [f64; 3]| {
+        format!(
+            "  \"{name}_overhead_ratio\": {},\n  \"{name}_ratio_q1\": {},\n  \"{name}_ratio_q3\": {},\n",
+            json_num(q[1]),
+            json_num(q[0]),
+            json_num(q[2])
+        )
+    };
     let json = format!(
         "{{\n  \"ranks\": {RANKS},\n  \"bytes\": {BYTES},\n  \"iters\": {iters},\n  \
          \"rounds\": {rounds},\n  \"informational_rounds\": {info_rounds},\n  \"smoke\": {smoke},\n  \
-         \"baseline_secs\": {},\n  \"disabled_recorder_secs\": {},\n  \
-         \"metrics_off_secs\": {},\n  \"metrics_on_secs\": {},\n  \
-         \"enabled_recorder_secs\": {},\n  \"disabled_overhead_ratio\": {},\n  \
-         \"metrics_off_overhead_ratio\": {},\n  \"metrics_on_overhead_ratio\": {},\n  \
-         \"enabled_overhead_ratio\": {},\n  \"gate_max_ratio\": {GATE_MAX_RATIO},\n  \
+         \"baseline_secs\": {},\n{}{}{}{}  \"gate_max_ratio\": {GATE_MAX_RATIO},\n  \
          \"pass\": {pass}\n}}\n",
         json_num(baseline),
-        json_num(disabled),
-        json_num(metrics_off),
-        json_num(metrics_on),
-        json_num(enabled),
-        json_num(disabled_ratio),
-        json_num(metrics_off_ratio),
-        json_num(metrics_on_ratio),
-        json_num(enabled_ratio),
+        ratio_json("disabled", disabled),
+        ratio_json("metrics_off", metrics_off),
+        ratio_json("metrics_on", metrics_on),
+        ratio_json("enabled", enabled),
     );
     std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
     println!("wrote BENCH_obs.json");
@@ -214,8 +210,8 @@ fn main() -> ExitCode {
     if !pass {
         eprintln!(
             "obs gate FAILED: disabled-recorder {:+.2}% / metrics-off {:+.2}% (limit +{:.0}%)",
-            pct(disabled_ratio),
-            pct(metrics_off_ratio),
+            pct(disabled[1]),
+            pct(metrics_off[1]),
             pct(GATE_MAX_RATIO)
         );
         return ExitCode::FAILURE;

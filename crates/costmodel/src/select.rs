@@ -143,7 +143,9 @@ fn first_min(
 
 /// Ranks every strategy for `op` on `p` linear-array nodes at message
 /// length `n` bytes, cheapest first (ties in enumeration order).
-/// `max_dims = 0` means unlimited.
+/// `max_dims = 0` means unlimited; a limit keeps the catalogue's
+/// strategies of at most `max_dims` dimensions, which in enumeration
+/// order are exactly `enumerate_strategies(p, max_dims)`.
 pub fn rank_strategies(
     op: CollectiveOp,
     p: usize,
@@ -152,26 +154,15 @@ pub fn rank_strategies(
     ctx: CostContext,
     max_dims: usize,
 ) -> Vec<RankedStrategy> {
-    let ranked = |(strategy, cost): (Strategy, CostExpr)| RankedStrategy {
-        time: cost.eval(n, machine),
-        strategy,
-        cost,
-    };
-    let mut ranked: Vec<RankedStrategy> = if max_dims == 0 {
-        catalogue(op, Space::Linear(p), ctx)
-            .iter()
-            .cloned()
-            .map(ranked)
-            .collect()
-    } else {
-        enumerate_strategies(p, max_dims)
-            .into_iter()
-            .map(|s| {
-                let cost = hybrid_cost(op, &s, ctx);
-                ranked((s, cost))
-            })
-            .collect()
-    };
+    let mut ranked: Vec<RankedStrategy> = catalogue(op, Space::Linear(p), ctx)
+        .iter()
+        .filter(|(s, _)| max_dims == 0 || s.ndims() <= max_dims)
+        .map(|(strategy, cost)| RankedStrategy {
+            time: cost.eval(n, machine),
+            strategy: strategy.clone(),
+            cost: *cost,
+        })
+        .collect();
     ranked.sort_by(|a, b| a.time.total_cmp(&b.time));
     ranked
 }
@@ -292,6 +283,34 @@ mod tests {
         );
         assert_ne!(short.kind, long.kind);
         let _ = seen_hybrid;
+    }
+
+    #[test]
+    fn dimension_limit_ranks_the_limited_enumeration() {
+        let m = MachineParams::PARAGON;
+        for (p, max_dims) in [(1, 1), (30, 1), (30, 2), (64, 3), (64, 6)] {
+            let mut expect: Vec<(Strategy, f64)> = enumerate_strategies(p, max_dims)
+                .into_iter()
+                .map(|s| {
+                    let t =
+                        hybrid_cost(CollectiveOp::Collect, &s, CostContext::LINEAR).eval(4096, &m);
+                    (s, t)
+                })
+                .collect();
+            expect.sort_by(|a, b| a.1.total_cmp(&b.1));
+            let got: Vec<(Strategy, f64)> = rank_strategies(
+                CollectiveOp::Collect,
+                p,
+                4096,
+                &m,
+                CostContext::LINEAR,
+                max_dims,
+            )
+            .into_iter()
+            .map(|r| (r.strategy, r.time))
+            .collect();
+            assert_eq!(got, expect, "p = {p}, max_dims = {max_dims}");
+        }
     }
 
     #[test]
